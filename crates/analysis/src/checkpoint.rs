@@ -2,11 +2,11 @@
 //! durable journal, resume from whatever survived a kill.
 //!
 //! [`Study::run_checkpointed`] is the byte-compatible sibling of
-//! [`Study::run`]: it crawls the same universe on the same stream-fused
-//! sharded pipeline (each worker reduces straight off the browser's event
-//! stream via a [`FusedShard`]), but after each shard's private
-//! [`CrawlReduction`] is complete it is serialized and written to a
-//! [`Journal`] segment
+//! [`Study::run`]: it crawls the same universe on the same orchestrator
+//! (each worker reduces straight off the browser's event stream via a
+//! [`FusedShard`]), but folds sites into `i % shard_count` shard
+//! reductions, and the moment a shard's [`CrawlReduction`] is complete it
+//! is serialized and written to a [`Journal`] segment
 //! (atomic temp + fsync + rename, CRC-framed — see `sockscope-journal`).
 //! On resume, the journal is scanned, checksums and the config
 //! fingerprint are verified, everything torn/corrupt/mismatched is
@@ -37,9 +37,12 @@ use std::sync::Mutex;
 
 use crate::fused::FusedShard;
 use crate::reduce::CrawlReduction;
-use crate::study::{Study, StudyConfig, SHARDS_PER_THREAD};
+use crate::study::{Study, StudyConfig};
 use sockscope_faults::mix;
 use sockscope_journal::{Journal, JournalScan, KillPoint, Quarantined, SegmentMeta};
+
+/// Shards per worker thread in a fresh run's default partition.
+const SHARDS_PER_THREAD: usize = 4;
 
 /// Where and how a checkpointed run journals its shards.
 #[derive(Debug, Clone)]
@@ -322,10 +325,11 @@ impl Study {
         let web = Study::universe(config);
         let base_engine = Study::engine_for(&web);
         // Evolving timelines label/block against each era's lists (see
-        // `Study::run_pipeline`); the frozen paper preset shares one
+        // `Study::run_eras`); the frozen paper preset shares one
         // engine and stays byte-identical to the pre-timeline driver.
         let evolving = config.timeline.evolves();
         let crawl_config = Study::crawl_config(config);
+        let orch = Study::orchestrator_config(config);
 
         // Simulated process death (test harness): once the kill fires, no
         // further byte reaches the journal and the run aborts.
@@ -346,9 +350,8 @@ impl Study {
             let era_recovered = &recovered[era_idx];
             // Writes one shard's finished reduction to the journal — or, on
             // the doomed shard of an injected kill plan, simulates the
-            // process dying mid-write. Runs on the owning worker under the
-            // static driver and on the reduce stage under the orchestrator;
-            // either way it is off the per-site hot path.
+            // process dying mid-write. Runs on the orchestrator's reduce
+            // stage, off the per-site hot path.
             let persist_reduction = |s: usize, reduction: &CrawlReduction| {
                 if dead.load(Ordering::Relaxed) {
                     return;
@@ -373,39 +376,20 @@ impl Study {
                 }
             };
 
-            // Both drivers share the journal format, the fingerprint, and
-            // the `i % shard_count` partition, so a journal written by one
-            // resumes under the other.
-            let fresh: Vec<Option<CrawlReduction>> = if config.orchestrated {
-                let orch = Study::orchestrator_config(config);
-                sockscope_crawler::crawl_orchestrated_resumable(
-                    &era_web,
-                    &crawl_config,
-                    &orch,
-                    shard_count,
-                    &make_extensions,
-                    &|| FusedShard::new(era.label(), era.pre_patch(), engine),
-                    &|worker: &mut FusedShard<'_>| worker.take_site_reduction(),
-                    &|_shard| CrawlReduction::new(era.label(), era.pre_patch()),
-                    &|acc: &mut CrawlReduction, site| acc.absorb(site),
-                    &|s| era_recovered[s].is_some(),
-                    &|s, acc: &CrawlReduction| persist_reduction(s, acc),
-                    &|| dead.load(Ordering::Relaxed),
-                )
-            } else {
-                sockscope_crawler::crawl_sharded_sink_resumable(
-                    &era_web,
-                    &crawl_config,
-                    shard_count,
-                    &make_extensions,
-                    &|_shard| FusedShard::new(era.label(), era.pre_patch(), engine),
-                    &|s| era_recovered[s].is_some() || dead.load(Ordering::Relaxed),
-                    &|s, acc: &FusedShard<'_>| persist_reduction(s, acc.reduction()),
-                )
-                .into_iter()
-                .map(|slot| slot.map(FusedShard::into_reduction))
-                .collect()
-            };
+            let fresh = sockscope_crawler::crawl_orchestrated_resumable(
+                &era_web,
+                &crawl_config,
+                &orch,
+                shard_count,
+                &make_extensions,
+                &|| FusedShard::new(era.label(), era.pre_patch(), engine),
+                &|worker: &mut FusedShard<'_>| worker.take_site_reduction(),
+                &|_shard| CrawlReduction::new(era.label(), era.pre_patch()),
+                &|acc: &mut CrawlReduction, site| acc.absorb(site),
+                &|s| era_recovered[s].is_some(),
+                &|s, acc: &CrawlReduction| persist_reduction(s, acc),
+                &|| dead.load(Ordering::Relaxed),
+            );
 
             if let Some(e) = persist_error.lock().expect("persist error lock").take() {
                 return Err(CheckpointError::Io(e));
@@ -535,14 +519,8 @@ mod tests {
         };
         assert_eq!(base.fingerprint(), more_threads.fingerprint());
         // Orchestrator scheduling knobs change execution order, never
-        // output, so a journal resumes across driver and knob changes.
-        let other_driver = StudyConfig {
-            orchestrated: false,
-            ..config()
-        };
-        assert_eq!(base.fingerprint(), other_driver.fingerprint());
+        // output, so a journal resumes across knob changes.
         let other_knobs = StudyConfig {
-            workers: Some(12),
             queue_depth: 1,
             ..config()
         };

@@ -75,9 +75,9 @@ impl PayloadSource for EagerPayloads<'_> {
     }
 }
 
-/// One shard of the fused pipeline: a [`CrawlReduction`] fed straight off
-/// the browser's event stream, with a private classification context per
-/// shard (only the filter engine is shared, read-only).
+/// One worker's sink in the fused pipeline: a [`CrawlReduction`] fed
+/// straight off the browser's event stream, with a private classification
+/// context per worker (only the filter engine is shared, read-only).
 pub struct FusedShard<'e> {
     engine: &'e Engine,
     lib: PiiLibrary,
@@ -103,18 +103,6 @@ impl<'e> FusedShard<'e> {
             site_sockets: 0,
             page: None,
         }
-    }
-
-    /// Borrows the reduction accumulated so far (checkpoint persistence
-    /// reads this between sites — never mid-page).
-    pub fn reduction(&self) -> &CrawlReduction {
-        &self.reduction
-    }
-
-    /// Consumes the shard, yielding its reduction.
-    pub fn into_reduction(self) -> CrawlReduction {
-        debug_assert!(self.page.is_none(), "shard consumed mid-page");
-        self.reduction
     }
 
     /// Takes everything reduced since the last take, leaving the shard
@@ -301,7 +289,8 @@ impl SiteSink for FusedShard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sockscope_crawler::{browser_era, crawl, crawl_sharded_sink, CrawlConfig};
+    use sockscope_browser::{Browser, BrowserConfig, ExtensionHost};
+    use sockscope_crawler::{browser_era, crawl, crawl_one_site_sink, CrawlConfig};
     use sockscope_faults::FaultProfile;
     use sockscope_webgen::{SyntheticWeb, WebGenConfig};
 
@@ -317,7 +306,6 @@ mod tests {
         let engine = crate::study::Study::engine_for(&web);
         for faults in [None, Some(FaultProfile::heavy())] {
             let config = CrawlConfig {
-                threads: 2,
                 faults,
                 ..CrawlConfig::default()
             };
@@ -329,16 +317,22 @@ mod tests {
             }
             batch.normalize();
 
-            let mut fused = crawl_sharded_sink(
+            // The streamed side, site by site as an orchestrator worker
+            // and its reduce stage run it.
+            let browser = Browser::new(
                 &web,
-                &config,
-                3,
-                &|| sockscope_browser::ExtensionHost::stock(browser_era(&web.config().era)),
-                &|_| FusedShard::new("era", true, &engine),
-            )
-            .into_iter()
-            .map(FusedShard::into_reduction)
-            .fold(CrawlReduction::new("era", true), CrawlReduction::merge);
+                ExtensionHost::stock(browser_era(&web.config().era)),
+                BrowserConfig {
+                    seed: config.seed ^ web.config().seed,
+                    ..BrowserConfig::default()
+                },
+            );
+            let mut shard = FusedShard::new("era", true, &engine);
+            let mut fused = CrawlReduction::new("era", true);
+            for i in 0..web.sites().len() {
+                crawl_one_site_sink(&web, &config, &browser, i, &mut shard);
+                fused.absorb(shard.take_site_reduction());
+            }
             fused.normalize();
 
             assert_eq!(fused, batch);

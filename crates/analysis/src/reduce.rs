@@ -1,8 +1,8 @@
 //! Streaming reduction of crawl records into compact observations.
 //!
 //! A paper-scale crawl (100K sites × ≤16 pages) is far too large to keep as
-//! inclusion trees. [`CrawlReduction`] consumes each site's trees as they
-//! are produced ([`sockscope_crawler::crawl_streaming`]) and keeps only:
+//! inclusion trees. [`CrawlReduction`] consumes each site as it is
+//! crawled and keeps only:
 //!
 //! * labeling counts per second-level domain (`a(d)`, `n(d)` from §3.2),
 //! * one [`SocketObservation`] per WebSocket (attribution + classified
@@ -13,9 +13,9 @@
 //!
 //! Reductions form a commutative monoid under [`CrawlReduction::merge`]
 //! (up to [`CrawlReduction::normalize`], which canonicalizes the order of
-//! the two positional vectors): the sharded crawl driver gives each worker
-//! a private reduction and folds the shards together afterwards, so no
-//! lock is needed while classifying.
+//! the two positional vectors): each crawl worker reduces its sites
+//! privately and the orchestrator's reduce stage folds them together, so
+//! no lock is needed while classifying.
 
 use crate::pii::{PiiLibrary, ReceivedClass};
 use serde::{de, Deserialize, Serialize, Value};
@@ -622,9 +622,10 @@ impl CrawlReduction {
 
     /// Merges another reduction of the *same crawl* into this one.
     ///
-    /// This is the monoid operation behind the sharded crawl driver: each
-    /// shard reduces its own sites into a private `CrawlReduction`, and
-    /// the shards are folded together with `merge` afterwards. Every
+    /// This is the monoid operation behind checkpointed crawls: each
+    /// journal shard reduces its own sites into a private
+    /// `CrawlReduction`, and the shards are folded together with `merge`
+    /// afterwards, whether they were crawled or recovered. Every
     /// table-feeding field combines:
     ///
     /// * `label_counts` — pointwise sum of the (tagged, untagged) pairs;

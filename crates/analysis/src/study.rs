@@ -3,12 +3,12 @@
 //! [`Study::run`] reproduces the paper's end-to-end pipeline:
 //!
 //! 1. generate the synthetic web (one universe, four crawl eras);
-//! 2. crawl each era with the instrumented browser. The default driver is
-//!    the **work-stealing pipelined orchestrator**
-//!    ([`sockscope_crawler::crawl_orchestrated`]): each worker owns a
-//!    private stream-fused [`FusedShard`](crate::fused::FusedShard) that
-//!    the browser pushes CDP events into as it emits them — payload bytes
-//!    are classified and dropped on the spot, no
+//! 2. crawl each era with the instrumented browser on the **work-stealing
+//!    pipelined orchestrator** ([`sockscope_crawler::crawl_orchestrated`]):
+//!    each worker owns a private stream-fused
+//!    [`FusedShard`](crate::fused::FusedShard) that the browser pushes CDP
+//!    events into as it emits them — payload bytes are classified and
+//!    dropped on the spot, no
 //!    [`SiteRecord`](sockscope_crawler::SiteRecord) is ever materialized,
 //!    and the per-site hot path takes no lock. Finished per-site
 //!    reductions flow through a bounded queue to a reduce stage that
@@ -19,21 +19,17 @@
 //! 4. expose classified sockets and aggregates to the table/figure
 //!    generators.
 //!
-//! [`Study::run_static_shards`] keeps the static shard→thread-pool fused
-//! driver as a reference path (`--static-shards` on the CLI),
-//! [`Study::run_reference`] the record-materializing sharded pipeline (on
-//! the browser's buffering `visit_reference` path), and
-//! [`Study::run_streaming`] the original single-reduction-behind-a-mutex
-//! pipeline; the determinism suite asserts all four produce byte-identical
-//! results.
+//! [`Study::run_reference`] is the sequential oracle: the crawler's
+//! record-materializing [`sockscope_crawler::crawl`], reduced site by site
+//! with [`CrawlReduction::observe_site`]. It produces byte-identical
+//! results to [`Study::run`] on hazard-free profiles.
 
 use crate::pii::PiiLibrary;
 use crate::reduce::{CrawlReduction, SocketObservation};
 use sockscope_crawler::CrawlConfig;
 use sockscope_faults::FaultProfile;
 use sockscope_filterlist::{AaDomainSet, Engine, Labeler};
-use sockscope_webgen::{EraTimeline, SyntheticWeb, WebGenConfig};
-use std::sync::Mutex;
+use sockscope_webgen::{Era, EraTimeline, SyntheticWeb, WebGenConfig};
 
 /// Study configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,7 +39,9 @@ pub struct StudyConfig {
     /// Number of publisher sites (the paper used ~100K; shapes are
     /// scale-free down to a few thousand).
     pub n_sites: usize,
-    /// Crawl worker threads.
+    /// Orchestrator crawl workers. Scheduling-only: the output is
+    /// byte-identical for every value, so it is excluded from checkpoint
+    /// fingerprints.
     pub threads: usize,
     /// Links per site beyond the homepage.
     pub max_links: usize,
@@ -51,14 +49,8 @@ pub struct StudyConfig {
     /// the perfectly reliable network and produces snapshots byte-identical
     /// to the pre-fault-injection pipeline.
     pub faults: Option<FaultProfile>,
-    /// Crawl via the work-stealing pipelined orchestrator (the default);
-    /// `false` selects the static shard→thread-pool fused driver. Both
-    /// produce byte-identical studies — like every knob below, this is
-    /// scheduling-only and excluded from checkpoint fingerprints.
-    pub orchestrated: bool,
-    /// Orchestrator worker-thread override; `None` follows `threads`.
-    pub workers: Option<usize>,
-    /// Orchestrator result-queue capacity (backpressure depth).
+    /// Orchestrator result-queue capacity (backpressure depth);
+    /// scheduling-only, like `threads`.
     pub queue_depth: usize,
     /// The crawl schedule. Defaults to the pinned four-crawl paper preset
     /// ([`EraTimeline::paper`]); longitudinal runs swap in
@@ -76,8 +68,6 @@ impl Default for StudyConfig {
                 .unwrap_or(4),
             max_links: 15,
             faults: None,
-            orchestrated: true,
-            workers: None,
             queue_depth: 64,
             timeline: EraTimeline::paper(),
         }
@@ -121,80 +111,57 @@ pub struct Study {
     pub cdn_overrides: Vec<(String, String)>,
 }
 
-/// Which parallel reduction pipeline drives the crawl.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Pipeline {
-    /// The work-stealing pipelined orchestrator over per-worker
-    /// [`crate::fused::FusedShard`] sinks: per-site stealing, bounded
-    /// queue to a single reduce stage folding in ascending site order.
-    /// The default.
-    Orchestrated,
-    /// Per-shard [`crate::fused::FusedShard`] sinks fed straight off the
-    /// browser's event stream — no site records, payload bytes dropped at
-    /// classification time. Static shard→thread binding; the reference
-    /// driver the orchestrator is diffed against.
-    Fused,
-    /// Per-shard private reductions over materialized site records, with
-    /// the browser on its buffering `visit_reference` path. Kept as the
-    /// reference implementation for differential tests.
-    Reference,
-    /// One shared reduction behind a mutex, locked on every site. The
-    /// original pipeline, kept for the determinism suite.
-    Streaming,
-}
-
-/// Shards per worker thread for the sharded pipeline: enough slack for
-/// load balancing (a worker that draws slow shards is backfilled by the
-/// others) without fragmenting the merge.
-pub(crate) const SHARDS_PER_THREAD: usize = 4;
-
 impl Study {
-    /// Runs the full study. The default driver is the work-stealing
-    /// pipelined orchestrator over stream-fused per-worker shards;
-    /// `StudyConfig { orchestrated: false, .. }` selects the static
-    /// shard→thread-pool fused driver instead. Both are byte-identical.
+    /// Runs the full study on the orchestrator over stream-fused
+    /// per-worker shards.
     pub fn run(config: &StudyConfig) -> Study {
-        if config.orchestrated {
-            Study::run_pipeline(config, Pipeline::Orchestrated)
-        } else {
-            Study::run_pipeline(config, Pipeline::Fused)
-        }
+        let crawl_config = Study::crawl_config(config);
+        let orch = Study::orchestrator_config(config);
+        Study::run_eras(config, &|era, era_web, engine| {
+            sockscope_crawler::crawl_orchestrated(
+                era_web,
+                &crawl_config,
+                &orch,
+                &|| sockscope_browser::ExtensionHost::stock(sockscope_crawler::browser_era(era)),
+                // Each worker owns its classification context; the reduce
+                // stage folds the per-site reductions they emit in
+                // ascending site order.
+                &|| crate::fused::FusedShard::new(era.label(), era.pre_patch(), engine),
+                &|worker: &mut crate::fused::FusedShard<'_>| worker.take_site_reduction(),
+                &|| CrawlReduction::new(era.label(), era.pre_patch()),
+                &|acc: &mut CrawlReduction, site| acc.absorb(site),
+            )
+        })
     }
 
-    /// Runs the full study on the static shard→thread-pool stream-fused
-    /// driver, regardless of `config.orchestrated` — the reference path
-    /// the orchestrator identity suite diffs against.
-    pub fn run_static_shards(config: &StudyConfig) -> Study {
-        Study::run_pipeline(config, Pipeline::Fused)
+    /// Runs the full study on the sequential reference: each era is
+    /// crawled by [`sockscope_crawler::crawl`] into full
+    /// [`SiteRecord`](sockscope_crawler::SiteRecord)s, which are reduced
+    /// one by one. No threads, sinks or supervisor, so `threads` and
+    /// `queue_depth` are ignored and site hazards are never drawn.
+    /// Byte-identical to [`Study::run`] on hazard-free profiles; the
+    /// identity suites diff the two.
+    pub fn run_reference(config: &StudyConfig) -> Study {
+        let crawl_config = Study::crawl_config(config);
+        let lib = PiiLibrary::new();
+        Study::run_eras(config, &|era, era_web, engine| {
+            let mut reduction = CrawlReduction::new(era.label(), era.pre_patch());
+            for record in sockscope_crawler::crawl(era_web, &crawl_config).records {
+                reduction.observe_site(&record, engine, &lib);
+            }
+            reduction
+        })
     }
 
     /// Derives the orchestrator's concurrency config from a study config:
-    /// `workers` follows `threads` unless overridden, and the in-flight
-    /// cap stays on auto (`workers + queue_depth`).
+    /// `threads` workers, and the in-flight cap on auto
+    /// (`workers + queue_depth`).
     pub fn orchestrator_config(config: &StudyConfig) -> sockscope_crawler::OrchestratorConfig {
         sockscope_crawler::OrchestratorConfig {
-            workers: config.workers.unwrap_or_else(|| config.threads.max(1)),
+            workers: config.threads.max(1),
             queue_depth: config.queue_depth,
             ..sockscope_crawler::OrchestratorConfig::default()
         }
-    }
-
-    /// Runs the full study on the record-materializing reference pipeline:
-    /// the browser buffers every CDP event (`visit_reference`), the crawler
-    /// assembles full [`SiteRecord`](sockscope_crawler::SiteRecord)s, and
-    /// shards reduce them in batch. Produces byte-identical results to
-    /// [`Study::run`]; the stream-identity suite diffs the two.
-    pub fn run_reference(config: &StudyConfig) -> Study {
-        Study::run_pipeline(config, Pipeline::Reference)
-    }
-
-    /// Runs the full study on the original streaming pipeline (one
-    /// reduction behind a mutex, classification inside the critical
-    /// section). Produces byte-identical results to [`Study::run`]; kept
-    /// for differential tests and as the baseline in the `crawl_reduction`
-    /// benchmark.
-    pub fn run_streaming(config: &StudyConfig) -> Study {
-        Study::run_pipeline(config, Pipeline::Streaming)
     }
 
     /// Builds the synthetic universe a config describes (shared by the
@@ -221,9 +188,7 @@ impl Study {
         CrawlConfig {
             seed: config.seed ^ 0xC4A31,
             max_links: config.max_links,
-            threads: config.threads,
             faults: config.faults.clone(),
-            visit_reference: false,
         }
     }
 
@@ -252,7 +217,13 @@ impl Study {
         }
     }
 
-    fn run_pipeline(config: &StudyConfig, pipeline: Pipeline) -> Study {
+    /// The era loop both drivers share: `crawl_era` reduces one era's
+    /// universe against the engine its labels and blocking come from, and
+    /// the normalized reductions are assembled into the study.
+    fn run_eras(
+        config: &StudyConfig,
+        crawl_era: &dyn Fn(&Era, &SyntheticWeb, &Engine) -> CrawlReduction,
+    ) -> Study {
         let web = Study::universe(config);
         let base_engine = Study::engine_for(&web);
         // On evolving timelines the lists differ per era, so each crawl
@@ -260,103 +231,15 @@ impl Study {
         // frozen timelines (the paper preset) share one engine, which
         // keeps that path byte-identical to the pre-timeline pipeline.
         let evolving = config.timeline.evolves();
-        let mut crawl_config = Study::crawl_config(config);
-        if pipeline == Pipeline::Reference {
-            crawl_config.visit_reference = true;
-        }
-
         let mut reductions = Vec::new();
         for era in config.timeline.eras() {
             let era_web = web.for_era(era.clone());
             let era_engine = evolving.then(|| Study::engine_for(&era_web));
-            let engine = era_engine.as_ref().unwrap_or(&base_engine);
-            let make_extensions =
-                || sockscope_browser::ExtensionHost::stock(sockscope_crawler::browser_era(era));
-            let mut reduction = match pipeline {
-                Pipeline::Orchestrated => {
-                    let orch = Study::orchestrator_config(config);
-                    sockscope_crawler::crawl_orchestrated(
-                        &era_web,
-                        &crawl_config,
-                        &orch,
-                        &make_extensions,
-                        // Each worker owns its classification context; the
-                        // reduce stage folds the per-site reductions they
-                        // emit in ascending site order.
-                        &|| crate::fused::FusedShard::new(era.label(), era.pre_patch(), engine),
-                        &|worker: &mut crate::fused::FusedShard<'_>| worker.take_site_reduction(),
-                        &|| CrawlReduction::new(era.label(), era.pre_patch()),
-                        &|acc: &mut CrawlReduction, site| acc.absorb(site),
-                    )
-                }
-                Pipeline::Fused => {
-                    let shards = config.threads.max(1) * SHARDS_PER_THREAD;
-                    sockscope_crawler::crawl_sharded_sink(
-                        &era_web,
-                        &crawl_config,
-                        shards,
-                        &make_extensions,
-                        // Each shard owns its reduction AND its
-                        // classification context; only the filter engine
-                        // is shared (read-only).
-                        &|_shard| {
-                            crate::fused::FusedShard::new(era.label(), era.pre_patch(), engine)
-                        },
-                    )
-                    .into_iter()
-                    .map(crate::fused::FusedShard::into_reduction)
-                    .fold(
-                        CrawlReduction::new(era.label(), era.pre_patch()),
-                        CrawlReduction::merge,
-                    )
-                }
-                Pipeline::Reference => {
-                    let shards = config.threads.max(1) * SHARDS_PER_THREAD;
-                    sockscope_crawler::crawl_sharded(
-                        &era_web,
-                        &crawl_config,
-                        shards,
-                        &make_extensions,
-                        &|_shard| {
-                            (
-                                CrawlReduction::new(era.label(), era.pre_patch()),
-                                PiiLibrary::new(),
-                            )
-                        },
-                        &|acc: &mut (CrawlReduction, PiiLibrary), record| {
-                            acc.0.observe_site(&record, engine, &acc.1);
-                        },
-                    )
-                    .into_iter()
-                    .map(|(reduction, _lib)| reduction)
-                    .fold(
-                        CrawlReduction::new(era.label(), era.pre_patch()),
-                        CrawlReduction::merge,
-                    )
-                }
-                Pipeline::Streaming => {
-                    let lib = PiiLibrary::new();
-                    let reduction = Mutex::new(CrawlReduction::new(era.label(), era.pre_patch()));
-                    sockscope_crawler::crawl_streaming(
-                        &era_web,
-                        &crawl_config,
-                        &make_extensions,
-                        &|record| {
-                            reduction
-                                .lock()
-                                .expect("reduction lock")
-                                .observe_site(&record, engine, &lib);
-                        },
-                    );
-                    reduction.into_inner().expect("reduction lock")
-                }
-            };
-            // Deterministic ordering regardless of thread interleaving
-            // (streaming) or shard count (sharded).
+            let mut reduction =
+                crawl_era(era, &era_web, era_engine.as_ref().unwrap_or(&base_engine));
             reduction.normalize();
             reductions.push(reduction);
         }
-
         Study::assemble(&web, base_engine, reductions)
     }
 
@@ -499,29 +382,22 @@ mod tests {
     }
 
     #[test]
-    fn fused_reference_and_streaming_pipelines_agree() {
+    fn orchestrated_and_reference_pipelines_agree() {
         let config = StudyConfig {
             n_sites: 120,
             threads: 4,
             ..StudyConfig::default()
         };
-        let fused = Study::run(&config); // orchestrated default
-        let static_shards = Study::run_static_shards(&config);
+        let orchestrated = Study::run(&config);
         let reference = Study::run_reference(&config);
-        let streaming = Study::run_streaming(&config);
-        assert_eq!(fused.reductions, static_shards.reductions);
-        assert_eq!(fused.reductions, reference.reductions);
-        assert_eq!(fused.reductions, streaming.reductions);
-        // D' is a hash set, so iteration order tracks insertion order and the
-        // pipelines insert in different orders; compare as sorted sets.
-        let mut fused_aa: Vec<&str> = fused.aa.iter().collect();
+        assert_eq!(orchestrated.reductions, reference.reductions);
+        // D' is a hash set, so iteration order tracks insertion order;
+        // compare as sorted sets.
+        let mut orchestrated_aa: Vec<&str> = orchestrated.aa.iter().collect();
         let mut reference_aa: Vec<&str> = reference.aa.iter().collect();
-        let mut streaming_aa: Vec<&str> = streaming.aa.iter().collect();
-        fused_aa.sort_unstable();
+        orchestrated_aa.sort_unstable();
         reference_aa.sort_unstable();
-        streaming_aa.sort_unstable();
-        assert_eq!(fused_aa, reference_aa);
-        assert_eq!(fused_aa, streaming_aa);
+        assert_eq!(orchestrated_aa, reference_aa);
     }
 
     #[test]

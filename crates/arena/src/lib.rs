@@ -3,8 +3,8 @@
 //! The crawl's steady state synthesizes, classifies, and discards the same
 //! shapes of short-lived data once per page: rendered payload strings, HTTP
 //! bodies, request targets, frame payloads. Routing those through the global
-//! allocator costs ~49K allocations per site at 8K sites (BENCH_pipeline
-//! `fused_pipeline.alloc_count`), dominating the fused pipeline's wall
+//! allocator cost ~49K allocations per site at 8K sites (the pre-arena
+//! `BENCH_pipeline.json` figure), dominating the fused pipeline's wall
 //! clock. [`Arena`] gives each visit a bump allocator whose chunks are kept
 //! across [`Arena::reset`], so after warm-up a page visit performs
 //! near-zero global allocations.

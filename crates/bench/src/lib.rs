@@ -7,11 +7,9 @@
 //! | variable | default | meaning |
 //! |---|---|---|
 //! | `SOCKSCOPE_SITES` | 8000 | publisher universe size (paper: ~100K) |
-//! | `SOCKSCOPE_THREADS` | all cores | crawl parallelism |
+//! | `SOCKSCOPE_THREADS` | all cores | orchestrator crawl workers |
 //! | `SOCKSCOPE_SEED` | 0x50C25C0F | universe seed |
-//! | `SOCKSCOPE_WORKERS` | `SOCKSCOPE_THREADS` | orchestrator crawl workers |
 //! | `SOCKSCOPE_QUEUE_DEPTH` | 64 | orchestrator hand-off queue capacity |
-//! | `SOCKSCOPE_STATIC` | unset | `1` = static shard-per-thread driver |
 //! | `SOCKSCOPE_ERAS` | unset | N-era synthetic timeline instead of the paper's 4 crawls |
 
 #![forbid(unsafe_code)]
@@ -38,18 +36,10 @@ pub fn study_config_from_env() -> StudyConfig {
             config.seed = n;
         }
     }
-    if let Ok(v) = std::env::var("SOCKSCOPE_WORKERS") {
-        if let Ok(n) = v.parse::<usize>() {
-            config.workers = Some(n.max(1));
-        }
-    }
     if let Ok(v) = std::env::var("SOCKSCOPE_QUEUE_DEPTH") {
         if let Ok(n) = v.parse::<usize>() {
             config.queue_depth = n.max(1);
         }
-    }
-    if std::env::var("SOCKSCOPE_STATIC").as_deref() == Ok("1") {
-        config.orchestrated = false;
     }
     // After --seed so the synthetic timeline derives from the final seed,
     // matching the CLI's `--eras` behaviour.

@@ -42,18 +42,9 @@ pub struct StudyReport {
 }
 
 impl StudyReport {
-    /// Runs the study (sharded lock-free pipeline) and computes everything.
+    /// Runs the study and computes everything.
     pub fn run(config: &StudyConfig) -> StudyReport {
         let study = Study::run(config);
-        StudyReport::from_study(study)
-    }
-
-    /// Runs the study on the locked streaming reference pipeline and
-    /// computes everything. Identical output to [`StudyReport::run`],
-    /// slower at high thread counts; exposed for differential testing and
-    /// the CLI's `--streaming` escape hatch.
-    pub fn run_streaming(config: &StudyConfig) -> StudyReport {
-        let study = Study::run_streaming(config);
         StudyReport::from_study(study)
     }
 

@@ -14,36 +14,21 @@
 //! keep the random choice (seeded) and drop the wall-clock politeness —
 //! the synthetic web has no rate limits, and determinism is a feature.
 //!
-//! Crawls run in parallel with std scoped threads. Results are returned
-//! in site order regardless of scheduling, so a crawl is fully
-//! reproducible.
+//! Two drivers are provided:
 //!
-//! Three parallel drivers are provided, trading memory for contention:
-//!
-//! * [`crawl_with_extensions`] — collects every [`SiteRecord`] into a
-//!   [`CrawlDataset`]; simple, memory-heavy.
-//! * [`crawl_streaming`] — hands each record to a shared sink; flat
-//!   memory, but sinks that aggregate must lock on every site.
-//! * [`crawl_sharded`] — partitions sites into shards, gives each shard a
-//!   private accumulator, and folds records into it with **no lock in the
-//!   per-site hot path**; the caller merges the returned shard
-//!   accumulators in shard order, which keeps results deterministic.
-//! * [`crawl_sharded_sink`] — the stream-fused variant: each shard
-//!   accumulator is a [`SiteSink`] fed CDP events the moment the browser
-//!   emits them, so no per-page event buffer or [`SiteRecord`] exists at
-//!   all; per-site memory is bounded by one inclusion tree.
-//! * [`crawl_orchestrated`] / [`crawl_orchestrated_resumable`] — the
-//!   work-stealing pipelined driver ([`orchestrator`]): per-site stealing
-//!   instead of static shard ownership, bounded queues between the
-//!   visit/classify and reduce stages, and a global in-flight cap, with
-//!   results folded in ascending site order so the merged output is
-//!   byte-identical to the static drivers.
-//!
-//! All drivers share one frontier/fault loop (`drive_site`) and one
-//! streamed per-site driver over the sink protocol (`drive_site_sink`,
-//! reached through [`crawl_one_site_sink`]), so their outputs are
-//! decision-identical by construction; `CrawlConfig::visit_reference`
-//! retains the pre-fusion materializing path for differential testing.
+//! * [`crawl_orchestrated`] / [`crawl_orchestrated_resumable`] — **the**
+//!   production driver ([`orchestrator`]): per-site work stealing, bounded
+//!   queues between the visit/classify and reduce stages, a global
+//!   in-flight cap, per-site supervision, and results folded in ascending
+//!   site order, so the merged output is independent of scheduling. Each
+//!   worker feeds a private [`SiteSink`] straight off the browser's event
+//!   stream ([`crawl_one_site_sink`]); no per-page event buffer or
+//!   [`SiteRecord`] exists on that path.
+//! * [`crawl`] — the sequential reference: one thread, no sink, no
+//!   supervisor. It buffers each page's events and batch-builds its
+//!   inclusion tree, returning every [`SiteRecord`] of the crawl. It
+//!   shares only the frontier/fault loop (`drive_site`) with the
+//!   production path, which is what makes it a useful oracle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,8 +40,6 @@ pub use orchestrator::{crawl_orchestrated, crawl_orchestrated_resumable, Orchest
 pub use supervisor::{supervise_site, QuarantineReason, QuarantineRecord};
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use sockscope_browser::{
     Browser, BrowserConfig, BrowserEra, CdpEvent, ExtensionHost, VisitError, VisitSink,
@@ -64,7 +47,7 @@ use sockscope_browser::{
 };
 use sockscope_faults::{FaultContext, FaultProfile, VirtualClock};
 use sockscope_inclusion::{InclusionTree, TreeBuilder};
-use sockscope_webgen::{Era, EraTimeline, SyntheticWeb};
+use sockscope_webgen::{Era, SyntheticWeb};
 
 /// Crawler configuration.
 #[derive(Debug, Clone)]
@@ -73,20 +56,11 @@ pub struct CrawlConfig {
     pub seed: u64,
     /// Maximum links to visit beyond the homepage (the paper's 15).
     pub max_links: usize,
-    /// Worker threads.
-    pub threads: usize,
     /// Fault profile override. `None` defers to the universe's
     /// [`WebGenConfig::faults`](sockscope_webgen::WebGenConfig); a profile
     /// whose rates are all zero is treated as no injection at all, so the
     /// crawl output is byte-identical to the fault-free pipeline.
     pub faults: Option<FaultProfile>,
-    /// Use the retained materializing visit path: buffer each page's full
-    /// event stream into a `Vec<CdpEvent>` and batch-build its inclusion
-    /// tree, exactly as the pipeline did before stream fusion. The default
-    /// (`false`) streams events into an incremental [`TreeBuilder`] as they
-    /// are emitted. Both paths produce identical trees — the reference path
-    /// exists so differential tests and the perf harness can prove it.
-    pub visit_reference: bool,
 }
 
 impl Default for CrawlConfig {
@@ -94,11 +68,7 @@ impl Default for CrawlConfig {
         CrawlConfig {
             seed: 0xC4A31,
             max_links: 15,
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
             faults: None,
-            visit_reference: false,
         }
     }
 }
@@ -236,14 +206,14 @@ fn mix(seed: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The per-site frontier driver both public crawl entry points share.
+/// The per-site frontier driver: [`crawl`] and [`crawl_one_site_sink`]
+/// both run it, through [`drive_universe_site`].
 ///
 /// One loop implements §3.3's frontier policy *and* the fault machinery:
 /// the fault-free crawl is the fault crawl with an empty plan
 /// (`faults: None` ⇒ a single attempt per page, no `FaultContext`, no
 /// budget check, and the returned [`SiteFaults`] is discarded by the
-/// caller). This is what keeps the two paths decision-identical by
-/// construction — there is exactly one copy of the link-sampling,
+/// caller). There is exactly one copy of the link-sampling,
 /// retry/backoff, and budget logic.
 ///
 /// `visit_page` performs the actual page load (streamed or materializing —
@@ -363,188 +333,32 @@ fn drive_site(
     site_faults
 }
 
-/// Reference page loader over [`drive_site`]: buffers each page's full
-/// event stream into a materialized `Visit` and batch-builds its
-/// inclusion tree — the pre-fusion path, retained solely so differential
-/// tests and the perf harness can race it against the streamed one.
-/// Every production entry point goes through [`drive_site_sink`] instead.
-fn crawl_site_trees_reference(
-    browser: &Browser<'_>,
-    homepage: &str,
-    site_domain: &str,
-    max_links: usize,
-    seed: u64,
-    faults: Option<(&FaultProfile, u64, u64)>,
-) -> (Vec<InclusionTree>, SiteFaults) {
-    let mut trees = Vec::new();
+/// Runs [`drive_site`] over site `i` of the universe with the per-site
+/// seeds every driver derives identically: links are sampled from the
+/// crawl seed mixed with the era's stream for the site, and under an
+/// effective fault profile each era draws its own fault stream over the
+/// crawl seed. Returns the site's failure accounting exactly when a fault
+/// profile is in effect, matching [`SiteRecord::faults`].
+fn drive_universe_site(
+    web: &SyntheticWeb,
+    config: &CrawlConfig,
+    i: usize,
+    visit_page: &mut VisitPage<'_>,
+) -> Option<SiteFaults> {
+    let site = &web.sites()[i];
+    let era = &web.config().era;
+    let effective = effective_faults(web, config);
     let site_faults = drive_site(
-        homepage,
-        site_domain,
-        max_links,
-        seed,
-        faults,
-        &mut |url, ctx| {
-            let v = browser.visit_with_faults(url, ctx)?;
-            trees.push(InclusionTree::build(url, &v.events));
-            Ok(VisitSummary {
-                page_url: v.page_url,
-                links: v.links,
-                blocked: v.blocked,
-                faults: v.faults,
-            })
-        },
+        &site.homepage(),
+        &site.domain,
+        config.max_links,
+        mix(config.seed, era.site_stream(site.id as u64)),
+        effective
+            .as_ref()
+            .map(|profile| (profile, mix(config.seed, era.index()), site.rank as u64)),
+        visit_page,
     );
-    (trees, site_faults)
-}
-
-/// **The** streamed per-site driver: [`drive_site`]'s frontier/fault loop
-/// wrapped around the sink protocol. Every streamed entry point — the
-/// fused shard drivers, the orchestrator, [`crawl_site`], and (via
-/// [`RecordSink`]) the record-returning drivers — funnels through this
-/// one function, so its event-order contract is the contract of the whole
-/// crawler, pinned by `sink_event_order_contract` in the tests:
-///
-/// 1. `page_begin(url)` brackets with exactly one `page_end()` or
-///    `page_abort()`; pages never nest and never cross sites.
-/// 2. Every [`VisitSink`] event is delivered between a `page_begin` and
-///    its closing call; an aborted page delivers **zero** events (the
-///    browser decides every [`VisitError`] before emitting).
-/// 3. `page_begin` count equals [`SiteFaults::pages_attempted`] (every
-///    retry is its own bracket); `page_end` count equals pages kept.
-fn drive_site_sink<A: SiteSink>(
-    browser: &Browser<'_>,
-    homepage: &str,
-    site_domain: &str,
-    max_links: usize,
-    seed: u64,
-    faults: Option<(&FaultProfile, u64, u64)>,
-    sink: &mut A,
-) -> SiteFaults {
-    drive_site(
-        homepage,
-        site_domain,
-        max_links,
-        seed,
-        faults,
-        &mut |url, ctx| {
-            sink.page_begin(url);
-            match browser.visit_streamed(url, ctx, &mut *sink) {
-                Ok(summary) => {
-                    sink.page_end();
-                    Ok(summary)
-                }
-                Err(e) => {
-                    sink.page_abort();
-                    Err(e)
-                }
-            }
-        },
-    )
-}
-
-/// Minimal [`SiteSink`] that keeps one [`InclusionTree`] per loaded page:
-/// the streamed tree collector behind [`crawl_site`].
-#[derive(Default)]
-struct TreeSink {
-    trees: Vec<InclusionTree>,
-    builder: Option<TreeBuilder>,
-}
-
-impl VisitSink for TreeSink {
-    fn on_event(&mut self, event: CdpEvent) {
-        self.builder
-            .as_mut()
-            .expect("events only between page_begin and page_end")
-            .push(&event);
-    }
-}
-
-impl SiteSink for TreeSink {
-    fn site_begin(&mut self, _site_id: usize, _domain: &str, _rank: u32) {}
-
-    fn page_begin(&mut self, url: &str) {
-        self.builder = Some(TreeBuilder::new(url));
-    }
-
-    fn page_end(&mut self) {
-        let builder = self.builder.take().expect("page_end after page_begin");
-        self.trees.push(builder.finish());
-    }
-
-    fn page_abort(&mut self) {
-        self.builder = None;
-    }
-
-    fn site_end(&mut self, _faults: Option<&SiteFaults>) {}
-
-    fn site_abort(&mut self) {
-        self.builder = None;
-        self.trees.clear();
-    }
-}
-
-/// Crawls one site with a given browser: homepage + up to `max_links`
-/// same-site pages (§3.3's frontier policy). Pages stream through an
-/// incremental [`TreeBuilder`]; no per-page event buffer is materialized.
-pub fn crawl_site(
-    browser: &Browser<'_>,
-    homepage: &str,
-    site_domain: &str,
-    max_links: usize,
-    seed: u64,
-) -> Vec<InclusionTree> {
-    let mut sink = TreeSink::default();
-    drive_site_sink(
-        browser,
-        homepage,
-        site_domain,
-        max_links,
-        seed,
-        None,
-        &mut sink,
-    );
-    sink.trees
-}
-
-/// Fault-injecting variant of [`crawl_site`]. Link sampling is identical;
-/// on top of it, every page visit draws from the seeded fault plan:
-/// unreachable pages are retried up to `profile.max_retries` times with
-/// exponential virtual-clock backoff, and the site is cut short (a
-/// degraded, partial record — never a panic) once the virtual clock
-/// exceeds `profile.page_budget`. Both functions are thin wrappers over
-/// one shared frontier driver, so the fault-free crawl *is* the fault
-/// crawl with a no-op plan.
-#[allow(clippy::too_many_arguments)]
-pub fn crawl_site_with_faults(
-    browser: &Browser<'_>,
-    homepage: &str,
-    site_domain: &str,
-    max_links: usize,
-    seed: u64,
-    profile: &FaultProfile,
-    fault_seed: u64,
-    site_rank: u64,
-) -> (Vec<InclusionTree>, SiteFaults) {
-    let mut sink = TreeSink::default();
-    let site_faults = drive_site_sink(
-        browser,
-        homepage,
-        site_domain,
-        max_links,
-        seed,
-        Some((profile, fault_seed, site_rank)),
-        &mut sink,
-    );
-    (sink.trees, site_faults)
-}
-
-/// Crawls the whole synthetic web with a stock browser (no extensions) —
-/// the paper's measurement configuration. The browser era tracks the crawl
-/// era (pre-patch crawls ran Chrome ≤57).
-pub fn crawl(web: &SyntheticWeb, config: &CrawlConfig) -> CrawlDataset {
-    crawl_with_extensions(web, config, &|| {
-        ExtensionHost::stock(browser_era(&web.config().era))
-    })
+    effective.is_some().then_some(site_faults)
 }
 
 /// Maps crawl era to browser era.
@@ -556,95 +370,55 @@ pub fn browser_era(era: &Era) -> BrowserEra {
     }
 }
 
-/// Crawls with a caller-supplied extension configuration (used by the WRB
-/// ablation, which installs an ad blocker).
-pub fn crawl_with_extensions(
-    web: &SyntheticWeb,
-    config: &CrawlConfig,
-    make_extensions: &(dyn Fn() -> ExtensionHost + Sync),
-) -> CrawlDataset {
-    let n = web.sites().len();
-    let records: Mutex<Vec<Option<SiteRecord>>> = Mutex::new((0..n).map(|_| None).collect());
-    let next = AtomicUsize::new(0);
-    let threads = config.threads.max(1);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let extensions = make_extensions();
-                let browser_config = BrowserConfig {
-                    seed: config.seed ^ web.config().seed,
-                    ..BrowserConfig::default()
-                };
-                let browser = Browser::new(web, extensions, browser_config);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let record = crawl_one_site(web, config, &browser, i);
-                    records.lock().expect("records lock")[i] = Some(record);
-                }
+/// The sequential reference crawl: every site of the universe, in site
+/// order, on one thread with a stock browser (no extensions — the paper's
+/// measurement configuration; the browser era tracks the crawl era).
+///
+/// Each page's full event stream is buffered into a materialized visit and
+/// its inclusion tree batch-built with [`InclusionTree::build`]. There is
+/// no sink, no supervisor and no scheduling: the only code this shares
+/// with [`crawl_orchestrated`] is the frontier/fault loop, so diffing the
+/// two catches scheduling and stream-fusion bugs. Site hazards are drawn
+/// only by the supervisor, so under a hazard profile this crawl still
+/// crawls the sites the production driver would quarantine.
+pub fn crawl(web: &SyntheticWeb, config: &CrawlConfig) -> CrawlDataset {
+    let browser = Browser::new(
+        web,
+        ExtensionHost::stock(browser_era(&web.config().era)),
+        BrowserConfig {
+            seed: config.seed ^ web.config().seed,
+            ..BrowserConfig::default()
+        },
+    );
+    let records = web
+        .sites()
+        .iter()
+        .enumerate()
+        .map(|(i, site)| {
+            let mut trees = Vec::new();
+            let faults = drive_universe_site(web, config, i, &mut |url, ctx| {
+                let v = browser.visit_with_faults(url, ctx)?;
+                trees.push(InclusionTree::build(url, &v.events));
+                Ok(VisitSummary {
+                    page_url: v.page_url,
+                    links: v.links,
+                    blocked: v.blocked,
+                    faults: v.faults,
+                })
             });
-        }
-    });
-
+            SiteRecord {
+                site_id: site.id,
+                domain: site.domain.clone(),
+                rank: site.rank,
+                trees,
+                faults,
+            }
+        })
+        .collect();
     CrawlDataset {
         label: web.config().era.label().to_string(),
         era: web.config().era.clone(),
-        records: records
-            .into_inner()
-            .expect("records lock")
-            .into_iter()
-            .map(|r| r.expect("all sites crawled"))
-            .collect(),
-    }
-}
-
-/// Crawls site `i` of the universe with the per-site seed derived from the
-/// crawl seed, site id, and era — shared by every parallel driver so they
-/// all observe identical per-site behaviour. The default path is
-/// [`crawl_one_site_sink`] through a [`RecordSink`]; `visit_reference`
-/// swaps in the retained materializing loader for differential runs.
-fn crawl_one_site(
-    web: &SyntheticWeb,
-    config: &CrawlConfig,
-    browser: &Browser<'_>,
-    i: usize,
-) -> SiteRecord {
-    if !config.visit_reference {
-        let mut sink = RecordSink::default();
-        crawl_one_site_sink(web, config, browser, i, &mut sink);
-        return sink
-            .take_record()
-            .expect("crawl_one_site_sink completes exactly one site");
-    }
-    let site = &web.sites()[i];
-    let link_seed = mix(config.seed, web.config().era.site_stream(site.id as u64));
-    let effective = effective_faults(web, config);
-    let fault_args = effective.as_ref().map(|profile| {
-        (
-            profile,
-            // Each era draws its own fault stream over the shared seed.
-            mix(config.seed, web.config().era.index()),
-            site.rank as u64,
-        )
-    });
-    let accounting = fault_args.is_some();
-    let (trees, site_faults) = crawl_site_trees_reference(
-        browser,
-        &site.homepage(),
-        &site.domain,
-        config.max_links,
-        link_seed,
-        fault_args,
-    );
-    SiteRecord {
-        site_id: site.id,
-        domain: site.domain.clone(),
-        rank: site.rank,
-        trees,
-        faults: accounting.then_some(site_faults),
+        records,
     }
 }
 
@@ -654,7 +428,7 @@ fn crawl_one_site(
 ///
 /// This is the zero-materialization seam: no `Visit`, no `SiteRecord`, no
 /// per-page event buffer exists anywhere on the path from the browser to
-/// the sink. The contract mirrors the batch drivers exactly:
+/// the sink. The contract:
 ///
 /// * `page_begin(url)` opens a page; the events that follow belong to it.
 ///   A page that fails mid-retry produces `page_begin` → (zero events,
@@ -693,11 +467,20 @@ pub trait SiteSink: VisitSink {
     }
 }
 
-/// Crawls site `i` straight into a [`SiteSink`] — the fused analogue of
-/// the internal record builder. Seeds, frontier policy, and fault
-/// accounting are shared with the batch drivers (same [`drive_site`]), so
-/// a sink that reassembles trees observes byte-identical state to
-/// [`SiteRecord`].
+/// Crawls site `i` straight into a [`SiteSink`]: the streamed per-site
+/// driver behind the orchestrator and the supervisor. Seeds, frontier
+/// policy and fault accounting are those of [`crawl`] (the same
+/// [`drive_site`]), so a sink that reassembles trees observes exactly the
+/// state a [`SiteRecord`] holds. Its event-order contract, pinned by
+/// `sink_event_order_contract` in the tests:
+///
+/// 1. `page_begin(url)` brackets with exactly one `page_end()` or
+///    `page_abort()`; pages never nest and never cross sites.
+/// 2. Every [`VisitSink`] event is delivered between a `page_begin` and
+///    its closing call; an aborted page delivers **zero** events (the
+///    browser decides every [`VisitError`] before emitting).
+/// 3. `page_begin` count equals [`SiteFaults::pages_attempted`] (every
+///    retry is its own bracket); `page_end` count equals pages kept.
 pub fn crawl_one_site_sink<A: SiteSink>(
     web: &SyntheticWeb,
     config: &CrawlConfig,
@@ -706,35 +489,27 @@ pub fn crawl_one_site_sink<A: SiteSink>(
     sink: &mut A,
 ) {
     let site = &web.sites()[i];
-    let link_seed = mix(config.seed, web.config().era.site_stream(site.id as u64));
-    let effective = effective_faults(web, config);
-    let fault_args = effective.as_ref().map(|profile| {
-        (
-            profile,
-            mix(config.seed, web.config().era.index()),
-            site.rank as u64,
-        )
-    });
-    let accounting = fault_args.is_some();
     sink.site_begin(site.id, &site.domain, site.rank);
-    let site_faults = drive_site_sink(
-        browser,
-        &site.homepage(),
-        &site.domain,
-        config.max_links,
-        link_seed,
-        fault_args,
-        sink,
-    );
-    sink.site_end(if accounting { Some(&site_faults) } else { None });
+    let faults = drive_universe_site(web, config, i, &mut |url, ctx| {
+        sink.page_begin(url);
+        match browser.visit_streamed(url, ctx, &mut *sink) {
+            Ok(summary) => {
+                sink.page_end();
+                Ok(summary)
+            }
+            Err(e) => {
+                sink.page_abort();
+                Err(e)
+            }
+        }
+    });
+    sink.site_end(faults.as_ref());
 }
 
 /// A [`SiteSink`] that reassembles full [`SiteRecord`]s from the event
-/// stream. It is both the proof that the fused driver delivers exactly
-/// the state the batch drivers record, and the adapter those drivers use:
-/// since the orchestrator refactor, *every* record-returning crawl runs
-/// [`crawl_one_site_sink`] into one of these, so the whole crawler shares
-/// a single streamed per-site driver.
+/// stream: the adapter for callers of [`crawl_orchestrated`] that want
+/// records (the WRB ablation), and the proof in the tests that the
+/// streamed driver delivers exactly the state [`crawl`] records.
 #[derive(Default)]
 pub struct RecordSink {
     records: Vec<SiteRecord>,
@@ -813,281 +588,10 @@ impl SiteSink for RecordSink {
     }
 }
 
-/// Streaming crawl: like [`crawl_with_extensions`], but instead of
-/// collecting every inclusion tree in memory, each completed
-/// [`SiteRecord`] is handed to `sink` and dropped. This keeps memory flat
-/// for paper-scale universes (100K sites × 15 pages); aggregators in
-/// `sockscope-analysis` reduce records incrementally behind a lock.
-///
-/// Sites are *processed* in arbitrary order across threads; sinks must not
-/// depend on arrival order (the study's aggregations are all
-/// order-insensitive).
-pub fn crawl_streaming(
-    web: &SyntheticWeb,
-    config: &CrawlConfig,
-    make_extensions: &(dyn Fn() -> ExtensionHost + Sync),
-    sink: &(dyn Fn(SiteRecord) + Sync),
-) {
-    let n = web.sites().len();
-    let next = AtomicUsize::new(0);
-    let threads = config.threads.max(1);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let extensions = make_extensions();
-                let browser_config = BrowserConfig {
-                    seed: config.seed ^ web.config().seed,
-                    ..BrowserConfig::default()
-                };
-                let browser = Browser::new(web, extensions, browser_config);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    sink(crawl_one_site(web, config, &browser, i));
-                }
-            });
-        }
-    });
-}
-
-/// Sharded crawl: the lock-free reduction driver.
-///
-/// Sites are partitioned into `shards` interleaved groups (shard `s` owns
-/// sites `i` with `i % shards == s`, so every shard sees the full rank
-/// spectrum). Worker threads claim whole shards from an atomic counter;
-/// the claiming worker builds the shard's private accumulator with
-/// `make_shard(s)` and folds every owned site into it with `observe` —
-/// exclusively, so the per-site hot path takes **no lock** and `observe`
-/// may do arbitrarily expensive classification without serializing other
-/// workers. Finished accumulators are returned in shard order; merging
-/// them left-to-right therefore yields the same result regardless of
-/// thread count or scheduling, provided `observe`/merge are
-/// order-insensitive up to the caller's normalization (see
-/// `CrawlReduction::merge` in `sockscope-analysis`).
-///
-/// `shards` is clamped to at least 1; passing `config.threads * k` for a
-/// small `k` (e.g. 4) gives good load balancing without losing the
-/// deterministic merge order.
-pub fn crawl_sharded<A: Send>(
-    web: &SyntheticWeb,
-    config: &CrawlConfig,
-    shards: usize,
-    make_extensions: &(dyn Fn() -> ExtensionHost + Sync),
-    make_shard: &(dyn Fn(usize) -> A + Sync),
-    observe: &(dyn Fn(&mut A, SiteRecord) + Sync),
-) -> Vec<A> {
-    crawl_sharded_resumable(
-        web,
-        config,
-        shards,
-        make_extensions,
-        make_shard,
-        observe,
-        &|_| false,
-        &|_, _| {},
-    )
-    .into_iter()
-    .map(|a| a.expect("every shard crawled"))
-    .collect()
-}
-
-/// Checkpoint-aware variant of [`crawl_sharded`], the substrate of the
-/// crash-safe crawl driver in `sockscope-analysis`.
-///
-/// Two extra hooks thread durability through the shard loop without
-/// putting any I/O on the per-site hot path:
-///
-/// * `skip(s)` — `true` when shard `s` was already recovered from a
-///   checkpoint journal; the shard is not crawled and its slot in the
-///   returned vector is `None` (the caller substitutes the recovered
-///   accumulator).
-/// * `persist(s, &acc)` — called by the owning worker the moment shard
-///   `s`'s accumulator is complete, *before* the crawl moves on. This is
-///   where the checkpointing driver serializes the shard to a durable
-///   journal segment. It runs outside the per-site loop, so persistence
-///   cost is amortized over a whole shard and never serializes other
-///   workers.
-///
-/// Determinism is unchanged: sites are partitioned exactly as in
-/// [`crawl_sharded`], per-site seeds do not depend on which shards are
-/// skipped, and the returned accumulators are in shard order. A crawl
-/// resumed over any subset of recovered shards therefore reduces to the
-/// same merged result as an uninterrupted run.
-#[allow(clippy::too_many_arguments)]
-pub fn crawl_sharded_resumable<A: Send>(
-    web: &SyntheticWeb,
-    config: &CrawlConfig,
-    shards: usize,
-    make_extensions: &(dyn Fn() -> ExtensionHost + Sync),
-    make_shard: &(dyn Fn(usize) -> A + Sync),
-    observe: &(dyn Fn(&mut A, SiteRecord) + Sync),
-    skip: &(dyn Fn(usize) -> bool + Sync),
-    persist: &(dyn Fn(usize, &A) + Sync),
-) -> Vec<Option<A>> {
-    let n = web.sites().len();
-    let shards = shards.max(1);
-    let next_shard = AtomicUsize::new(0);
-    let threads = config.threads.max(1).min(shards);
-
-    let mut out: Vec<Option<A>> = (0..shards).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let extensions = make_extensions();
-                    let browser_config = BrowserConfig {
-                        seed: config.seed ^ web.config().seed,
-                        ..BrowserConfig::default()
-                    };
-                    let browser = Browser::new(web, extensions, browser_config);
-                    let mut finished: Vec<(usize, A)> = Vec::new();
-                    loop {
-                        let s = next_shard.fetch_add(1, Ordering::Relaxed);
-                        if s >= shards {
-                            break;
-                        }
-                        if skip(s) {
-                            continue;
-                        }
-                        let mut acc = make_shard(s);
-                        let mut i = s;
-                        while i < n {
-                            observe(&mut acc, crawl_one_site(web, config, &browser, i));
-                            i += shards;
-                        }
-                        persist(s, &acc);
-                        finished.push((s, acc));
-                    }
-                    finished
-                })
-            })
-            .collect();
-        for worker in workers {
-            for (s, acc) in worker.join().expect("crawl worker") {
-                out[s] = Some(acc);
-            }
-        }
-    });
-    out
-}
-
-/// Fused sharded crawl: like [`crawl_sharded`], but each shard's
-/// accumulator is a [`SiteSink`] that consumes the event stream directly —
-/// no [`SiteRecord`] or per-page event buffer is ever materialized.
-/// Partitioning, seeds, and merge order are identical to the batch driver.
-pub fn crawl_sharded_sink<A: SiteSink + Send>(
-    web: &SyntheticWeb,
-    config: &CrawlConfig,
-    shards: usize,
-    make_extensions: &(dyn Fn() -> ExtensionHost + Sync),
-    make_shard: &(dyn Fn(usize) -> A + Sync),
-) -> Vec<A> {
-    crawl_sharded_sink_resumable(
-        web,
-        config,
-        shards,
-        make_extensions,
-        make_shard,
-        &|_| false,
-        &|_, _| {},
-    )
-    .into_iter()
-    .map(|a| a.expect("every shard crawled"))
-    .collect()
-}
-
-/// Checkpoint-aware variant of [`crawl_sharded_sink`], mirroring
-/// [`crawl_sharded_resumable`]: `skip(s)` elides shards already recovered
-/// from a journal (their slot comes back `None`), and `persist(s, &acc)`
-/// runs on the owning worker the moment shard `s` completes, off the
-/// per-site hot path. Shard ownership (`i % shards == s`) and per-site
-/// seeds are byte-identical to every other driver, so a resumed fused
-/// crawl merges to the same result as an uninterrupted batch one.
-pub fn crawl_sharded_sink_resumable<A: SiteSink + Send>(
-    web: &SyntheticWeb,
-    config: &CrawlConfig,
-    shards: usize,
-    make_extensions: &(dyn Fn() -> ExtensionHost + Sync),
-    make_shard: &(dyn Fn(usize) -> A + Sync),
-    skip: &(dyn Fn(usize) -> bool + Sync),
-    persist: &(dyn Fn(usize, &A) + Sync),
-) -> Vec<Option<A>> {
-    let n = web.sites().len();
-    let shards = shards.max(1);
-    let next_shard = AtomicUsize::new(0);
-    let threads = config.threads.max(1).min(shards);
-
-    let mut out: Vec<Option<A>> = (0..shards).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let extensions = make_extensions();
-                    let browser_config = BrowserConfig {
-                        seed: config.seed ^ web.config().seed,
-                        ..BrowserConfig::default()
-                    };
-                    let browser = Browser::new(web, extensions, browser_config);
-                    let mut finished: Vec<(usize, A)> = Vec::new();
-                    loop {
-                        let s = next_shard.fetch_add(1, Ordering::Relaxed);
-                        if s >= shards {
-                            break;
-                        }
-                        if skip(s) {
-                            continue;
-                        }
-                        let mut acc = make_shard(s);
-                        let mut i = s;
-                        while i < n {
-                            crawl_one_site_sink(web, config, &browser, i, &mut acc);
-                            i += shards;
-                        }
-                        persist(s, &acc);
-                        finished.push((s, acc));
-                    }
-                    finished
-                })
-            })
-            .collect();
-        for worker in workers {
-            for (s, acc) in worker.join().expect("crawl worker") {
-                out[s] = Some(acc);
-            }
-        }
-    });
-    out
-}
-
-/// Runs all four crawls of the study over one universe: two pre-patch, two
-/// post-patch (Table 1's four rows). The paper preset of
-/// [`timeline_crawls`].
-pub fn four_crawls(web: &SyntheticWeb, config: &CrawlConfig) -> Vec<CrawlDataset> {
-    timeline_crawls(web, config, &EraTimeline::paper())
-}
-
-/// Runs every crawl of an era timeline over one universe, in era order.
-pub fn timeline_crawls(
-    web: &SyntheticWeb,
-    config: &CrawlConfig,
-    timeline: &EraTimeline,
-) -> Vec<CrawlDataset> {
-    timeline
-        .eras()
-        .iter()
-        .map(|era| {
-            let web = web.for_era(era.clone());
-            crawl(&web, config)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sockscope_webgen::WebGenConfig;
+    use sockscope_webgen::{EraTimeline, WebGenConfig};
 
     fn web(n: usize) -> SyntheticWeb {
         SyntheticWeb::new(WebGenConfig {
@@ -1096,17 +600,10 @@ mod tests {
         })
     }
 
-    fn cfg() -> CrawlConfig {
-        CrawlConfig {
-            threads: 2,
-            ..CrawlConfig::default()
-        }
-    }
-
     #[test]
     fn crawl_visits_up_to_sixteen_pages_per_site() {
         let web = web(30);
-        let ds = crawl(&web, &cfg());
+        let ds = crawl(&web, &CrawlConfig::default());
         assert_eq!(ds.records.len(), 30);
         for r in &ds.records {
             assert!(r.pages_visited() >= 1);
@@ -1119,36 +616,13 @@ mod tests {
     }
 
     #[test]
-    fn crawl_is_deterministic_across_thread_counts() {
-        let web = web(20);
-        let a = crawl(
-            &web,
-            &CrawlConfig {
-                threads: 1,
-                ..cfg()
-            },
-        );
-        let b = crawl(
-            &web,
-            &CrawlConfig {
-                threads: 4,
-                ..cfg()
-            },
-        );
-        assert_eq!(a.records.len(), b.records.len());
-        for (x, y) in a.records.iter().zip(&b.records) {
-            assert_eq!(x.domain, y.domain);
-            assert_eq!(x.trees.len(), y.trees.len());
-            for (tx, ty) in x.trees.iter().zip(&y.trees) {
-                assert_eq!(tx, ty);
-            }
-        }
-    }
-
-    #[test]
-    fn four_crawls_share_the_universe() {
+    fn paper_eras_share_the_universe() {
         let web = web(15);
-        let crawls = four_crawls(&web, &cfg());
+        let crawls: Vec<CrawlDataset> = EraTimeline::paper()
+            .eras()
+            .iter()
+            .map(|era| crawl(&web.for_era(era.clone()), &CrawlConfig::default()))
+            .collect();
         assert_eq!(crawls.len(), 4);
         assert!(crawls[0].era.pre_patch());
         assert!(!crawls[3].era.pre_patch());
@@ -1162,52 +636,21 @@ mod tests {
     #[test]
     fn trees_have_valid_invariants() {
         let web = web(25);
-        let ds = crawl(&web, &cfg());
+        let ds = crawl(&web, &CrawlConfig::default());
         for tree in ds.trees() {
             tree.check_invariants().unwrap();
         }
     }
 
     #[test]
-    fn sharded_partitions_sites_and_matches_the_collecting_crawl() {
-        let web = web(37);
-        let config = CrawlConfig {
-            threads: 4,
-            ..cfg()
-        };
-        let shards = crawl_sharded(
-            &web,
-            &config,
-            5,
-            &|| ExtensionHost::stock(browser_era(&web.config().era)),
-            &|s| (s, Vec::new()),
-            &|acc: &mut (usize, Vec<SiteRecord>), record| acc.1.push(record),
-        );
-        assert_eq!(shards.len(), 5);
-        let reference = crawl(&web, &config);
-        let mut seen = 0usize;
-        for (s, records) in &shards {
-            for record in records {
-                // Interleaved ownership: shard s holds sites i ≡ s (mod 5).
-                assert_eq!(record.site_id % 5, *s);
-                let r = &reference.records[record.site_id];
-                assert_eq!(record.domain, r.domain);
-                assert_eq!(record.trees, r.trees);
-                seen += 1;
-            }
-        }
-        assert_eq!(seen, 37, "every site crawled exactly once");
-    }
-
-    #[test]
     fn zero_rate_profile_is_identical_to_no_profile() {
         let web = web(20);
-        let plain = crawl(&web, &cfg());
+        let plain = crawl(&web, &CrawlConfig::default());
         let zeroed = crawl(
             &web,
             &CrawlConfig {
                 faults: Some(FaultProfile::none()),
-                ..cfg()
+                ..CrawlConfig::default()
             },
         );
         assert_eq!(plain.records.len(), zeroed.records.len());
@@ -1218,35 +661,13 @@ mod tests {
     }
 
     #[test]
-    fn faulted_crawl_is_deterministic_across_thread_counts() {
-        let web = web(25);
-        let faulted = |threads: usize| {
-            crawl(
-                &web,
-                &CrawlConfig {
-                    threads,
-                    faults: Some(FaultProfile::heavy()),
-                    ..cfg()
-                },
-            )
-        };
-        let a = faulted(1);
-        let b = faulted(4);
-        assert_eq!(a.records.len(), b.records.len());
-        for (x, y) in a.records.iter().zip(&b.records) {
-            assert_eq!(x.trees, y.trees);
-            assert_eq!(x.faults, y.faults);
-        }
-    }
-
-    #[test]
     fn heavy_faults_degrade_but_never_panic() {
         let web = web(60);
         let ds = crawl(
             &web,
             &CrawlConfig {
                 faults: Some(FaultProfile::heavy()),
-                ..cfg()
+                ..CrawlConfig::default()
             },
         );
         assert_eq!(ds.records.len(), 60);
@@ -1275,77 +696,48 @@ mod tests {
             faults: Some(FaultProfile::heavy()),
             ..WebGenConfig::default()
         });
-        let ds = crawl(&web, &cfg());
+        let ds = crawl(&web, &CrawlConfig::default());
         assert!(ds.records.iter().all(|r| r.faults.is_some()));
         // An explicit zero-rate override silences the universe profile.
         let quiet = crawl(
             &web,
             &CrawlConfig {
                 faults: Some(FaultProfile::none()),
-                ..cfg()
+                ..CrawlConfig::default()
             },
         );
         assert!(quiet.records.iter().all(|r| r.faults.is_none()));
     }
 
     #[test]
-    fn reference_path_is_decision_identical_to_fused_path() {
+    fn reference_crawl_is_decision_identical_to_the_streamed_driver() {
         let web = web(25);
         for faults in [None, Some(FaultProfile::heavy())] {
-            let fused = crawl(
+            let config = CrawlConfig {
+                faults,
+                ..CrawlConfig::default()
+            };
+            let reference = crawl(&web, &config);
+            let browser = Browser::new(
                 &web,
-                &CrawlConfig {
-                    faults: faults.clone(),
-                    ..cfg()
+                ExtensionHost::stock(browser_era(&web.config().era)),
+                BrowserConfig {
+                    seed: config.seed ^ web.config().seed,
+                    ..BrowserConfig::default()
                 },
             );
-            let reference = crawl(
-                &web,
-                &CrawlConfig {
-                    faults,
-                    visit_reference: true,
-                    ..cfg()
-                },
-            );
-            assert_eq!(fused.records.len(), reference.records.len());
-            for (a, b) in fused.records.iter().zip(&reference.records) {
+            let mut sink = RecordSink::default();
+            for i in 0..web.sites().len() {
+                crawl_one_site_sink(&web, &config, &browser, i, &mut sink);
+            }
+            let streamed = sink.into_records();
+            assert_eq!(streamed.len(), reference.records.len());
+            for (a, b) in streamed.iter().zip(&reference.records) {
+                assert_eq!(a.site_id, b.site_id);
                 assert_eq!(a.domain, b.domain);
                 assert_eq!(a.trees, b.trees);
                 assert_eq!(a.faults, b.faults);
             }
-        }
-    }
-
-    #[test]
-    fn sink_crawl_matches_the_collecting_crawl() {
-        let web = web(31);
-        for faults in [None, Some(FaultProfile::heavy())] {
-            let config = CrawlConfig {
-                threads: 4,
-                faults,
-                ..cfg()
-            };
-            let reference = crawl(&web, &config);
-            let shards = crawl_sharded_sink(
-                &web,
-                &config,
-                5,
-                &|| ExtensionHost::stock(browser_era(&web.config().era)),
-                &|_| RecordSink::default(),
-            );
-            assert_eq!(shards.len(), 5);
-            let mut seen = 0usize;
-            for (s, sink) in shards.iter().enumerate() {
-                for record in sink.records() {
-                    assert_eq!(record.site_id % 5, s);
-                    let r = &reference.records[record.site_id];
-                    assert_eq!(record.domain, r.domain);
-                    assert_eq!(record.trees, r.trees);
-                    assert_eq!(record.faults, r.faults);
-                    seen += 1;
-                }
-            }
-            assert_eq!(seen, 31, "every site crawled exactly once");
         }
     }
 
@@ -1434,9 +826,8 @@ mod tests {
         for faults in [None, Some(FaultProfile::heavy())] {
             let heavy = faults.is_some();
             let config = CrawlConfig {
-                threads: 1,
                 faults,
-                ..cfg()
+                ..CrawlConfig::default()
             };
             let browser = Browser::new(
                 &web,
@@ -1491,7 +882,7 @@ mod tests {
     fn some_site_has_sockets_eventually() {
         // With ~2–3% incidence, 400 sites should show a few socket users.
         let web = web(400);
-        let ds = crawl(&web, &cfg());
+        let ds = crawl(&web, &CrawlConfig::default());
         let frac = ds.fraction_sites_with_sockets();
         assert!(frac > 0.0, "no sockets at all");
         assert!(frac < 0.15, "implausibly many socket sites: {frac}");

@@ -1,17 +1,17 @@
-//! Work-stealing, pipelined crawl orchestrator.
+//! Work-stealing, pipelined crawl orchestrator: the crawler's one
+//! parallel driver.
 //!
-//! The static drivers ([`crawl_sharded_sink`](crate::crawl_sharded_sink)
-//! and friends) bind whole shards to workers: a worker that draws a slow
-//! shard finishes long after the others go idle, and nothing else can
-//! help it. The orchestrator replaces shard ownership with *per-site*
-//! work stealing while keeping the merged output byte-identical:
+//! Binding whole shards to workers would leave a worker that draws a slow
+//! shard finishing long after the others go idle. The orchestrator
+//! schedules *per site* instead, while keeping the merged output
+//! independent of scheduling:
 //!
 //! * **visit/classify** — each worker owns a deque of site positions
 //!   (dealt round-robin, ascending). It pops its own front, steals a
 //!   victim's back when empty, and runs the one shared per-site driver
-//!   ([`crawl_one_site_sink`]) into its private [`SiteSink`] — so
-//!   classification happens on the worker, lock-free, exactly as in the
-//!   static drivers.
+//!   ([`crawl_one_site_sink`], under [`supervise_site`] by default) into
+//!   its private [`SiteSink`] — so classification happens on the worker,
+//!   lock-free.
 //! * **reduce** — finished per-site results flow through one bounded MPMC
 //!   queue (backpressure: workers block when the reducer lags) to a
 //!   single reducer that re-sequences them by site position and folds
@@ -24,10 +24,10 @@
 //! Determinism: per-site output depends only on `(universe, config, site)`
 //! — never on which worker crawls it — and the reducer folds sites in
 //! ascending order, which the `CrawlReduction` monoid (stable-sort
-//! normalized, per-site payloads contiguous) maps to the same bytes the
-//! static shard merge produces. Steal order, queue depth, and worker
-//! count can only change *timing*, never the fold sequence. The liveness
-//! argument for the admission window lives in `DESIGN.md` §10.
+//! normalized, per-site payloads contiguous) maps to the same bytes at
+//! every shard count. Steal order, queue depth, and worker count can only
+//! change *timing*, never the fold sequence. The liveness argument for the
+//! admission window lives in `DESIGN.md` §10.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -46,8 +46,7 @@ const ADMIT_PATIENCE: Duration = Duration::from_millis(2);
 
 /// Concurrency surface of the orchestrator, separate from [`CrawlConfig`]
 /// because none of these knobs may influence crawl *output* — they are
-/// scheduling-only, like `CrawlConfig::threads`, and are deliberately
-/// excluded from checkpoint fingerprints.
+/// scheduling-only and deliberately excluded from checkpoint fingerprints.
 #[derive(Debug, Clone)]
 pub struct OrchestratorConfig {
     /// Crawl worker threads (the visit/classify stage). Clamped to ≥ 1.
@@ -136,16 +135,13 @@ where
     .expect("single-shard orchestrated crawl always yields its accumulator")
 }
 
-/// Checkpoint-aware orchestrated crawl, the work-stealing analogue of
-/// [`crawl_sharded_sink_resumable`](crate::crawl_sharded_sink_resumable).
+/// Checkpoint-aware orchestrated crawl.
 ///
-/// Shard semantics are unchanged — shard `s` owns sites `i % shard_count
-/// == s`, `skip(s)` elides recovered shards (their slot returns `None`),
-/// `persist(s, &acc)` fires the moment shard `s`'s last site folds — so
-/// a journal written by this driver resumes under the static one and vice
-/// versa. What moves: sites are crawled by whichever worker steals them,
-/// and `persist` runs on the reducer thread (off the visit hot path)
-/// instead of the owning worker.
+/// Shard `s` owns sites `i % shard_count == s`; `skip(s)` elides shards
+/// recovered from a journal (their slot returns `None`), and
+/// `persist(s, &acc)` fires the moment shard `s`'s last site folds. Sites
+/// are crawled by whichever worker steals them, and `persist` runs on the
+/// reducer thread, off the visit hot path.
 ///
 /// Per worker, `make_worker()` builds the stage-private [`SiteSink`]
 /// (classification state); after each site, `take_site` extracts that
@@ -268,9 +264,9 @@ where
         for &i in &todo {
             remaining[i % shard_count] += 1;
         }
-        // Shards that own no sites (shard_count > n) still persist, as
-        // they do under the static driver: a journal must cover every
-        // live shard or a resume would re-crawl it.
+        // Shards that own no sites (shard_count > n) still persist: a
+        // journal must cover every live shard or a resume would re-crawl
+        // it.
         for (s, left) in remaining.iter().enumerate() {
             if *left == 0 {
                 if let Some(acc) = &accs[s] {
@@ -348,18 +344,20 @@ mod tests {
     #[test]
     fn orchestrated_folds_in_site_order_and_matches_the_reference() {
         let web = web(33);
-        let config = CrawlConfig {
-            threads: 2,
-            ..CrawlConfig::default()
-        };
-        for (workers, queue_depth) in [(1, 1), (3, 2), (8, 64)] {
-            let orch = OrchestratorConfig {
-                workers,
-                queue_depth,
-                ..OrchestratorConfig::default()
+        for faults in [None, Some(FaultProfile::heavy())] {
+            let config = CrawlConfig {
+                faults,
+                ..CrawlConfig::default()
             };
-            let records = orchestrate(&web, &config, &orch);
-            assert_matches_reference(&records, &web, &config);
+            for (workers, queue_depth) in [(1, 1), (3, 2), (8, 64)] {
+                let orch = OrchestratorConfig {
+                    workers,
+                    queue_depth,
+                    ..OrchestratorConfig::default()
+                };
+                let records = orchestrate(&web, &config, &orch);
+                assert_matches_reference(&records, &web, &config);
+            }
         }
     }
 
@@ -367,7 +365,6 @@ mod tests {
     fn chaos_schedules_cannot_change_the_fold_sequence() {
         let web = web(24);
         let config = CrawlConfig {
-            threads: 2,
             faults: Some(FaultProfile::heavy()),
             ..CrawlConfig::default()
         };
@@ -393,10 +390,7 @@ mod tests {
     #[test]
     fn supervision_is_identity_on_a_clean_run() {
         let web = web(20);
-        let config = CrawlConfig {
-            threads: 2,
-            ..CrawlConfig::default()
-        };
+        let config = CrawlConfig::default();
         let supervised = orchestrate(&web, &config, &OrchestratorConfig::default());
         let bare = orchestrate(
             &web,
@@ -421,10 +415,7 @@ mod tests {
         // that steals aggressively put *every* worker outside the window
         // at once. The unclaim/retry dance must still drain the crawl.
         let web = web(18);
-        let config = CrawlConfig {
-            threads: 2,
-            ..CrawlConfig::default()
-        };
+        let config = CrawlConfig::default();
         let orch = OrchestratorConfig {
             workers: 8,
             queue_depth: 1,
@@ -439,10 +430,7 @@ mod tests {
     #[test]
     fn resumable_skips_recovered_shards_and_persists_complete_ones() {
         let web = web(22);
-        let config = CrawlConfig {
-            threads: 2,
-            ..CrawlConfig::default()
-        };
+        let config = CrawlConfig::default();
         let orch = OrchestratorConfig {
             workers: 3,
             queue_depth: 4,
@@ -489,10 +477,7 @@ mod tests {
     #[test]
     fn abort_stops_the_crawl_without_hanging() {
         let web = web(40);
-        let config = CrawlConfig {
-            threads: 2,
-            ..CrawlConfig::default()
-        };
+        let config = CrawlConfig::default();
         let orch = OrchestratorConfig {
             workers: 3,
             queue_depth: 1,

@@ -1,7 +1,7 @@
 //! Allocation-attribution probe for the fused hot path.
 //!
-//! Runs one era of the crawl three times against progressively heavier
-//! sinks — event-discarding, tree-building, and the full fused
+//! Runs one era of the crawl three times, on one orchestrator worker,
+//! against progressively heavier sinks — event-discarding, tree-building, and the full fused
 //! classify+reduce shard — so the global allocation count can be
 //! attributed to each layer by subtraction. Reads `SOCKSCOPE_SITES`;
 //! prints per-site allocation counts plus the bump-arena counters.
@@ -11,7 +11,7 @@
 
 use sockscope_analysis::{FusedShard, Study};
 use sockscope_browser::CdpEvent;
-use sockscope_crawler::{CrawlConfig, QuarantineRecord, SiteFaults, SiteSink};
+use sockscope_crawler::{CrawlConfig, OrchestratorConfig, QuarantineRecord, SiteFaults, SiteSink};
 use sockscope_exec::memmeter::{CountingAlloc, Meter};
 use sockscope_inclusion::TreeBuilder;
 use sockscope_webgen::{CrawlEra, SyntheticWeb};
@@ -37,11 +37,11 @@ impl SiteSink for NullSink {
 }
 
 /// Builds (and drops) the inclusion tree: browser + tree, no classify.
-struct TreeSink {
+struct TreeDropSink {
     builder: Option<TreeBuilder>,
 }
 
-impl sockscope_browser::VisitSink for TreeSink {
+impl sockscope_browser::VisitSink for TreeDropSink {
     fn on_event(&mut self, event: CdpEvent<'_>) {
         if let Some(b) = self.builder.as_mut() {
             b.push(&event);
@@ -49,7 +49,7 @@ impl sockscope_browser::VisitSink for TreeSink {
     }
 }
 
-impl SiteSink for TreeSink {
+impl SiteSink for TreeDropSink {
     fn site_begin(&mut self, _site_id: usize, _domain: &str, _rank: u32) {}
     fn page_begin(&mut self, url: &str) {
         self.builder = Some(TreeBuilder::new(url));
@@ -68,19 +68,33 @@ impl SiteSink for TreeSink {
     fn site_quarantined(&mut self, _record: &QuarantineRecord) {}
 }
 
-fn run<A: SiteSink + Send>(
+/// Crawls the era on one orchestrator worker into `make()`'s sink,
+/// dropping whatever `take` extracts after each site.
+fn run<A: SiteSink, R: Send>(
     label: &str,
     era_web: &SyntheticWeb,
     crawl_config: &CrawlConfig,
     make_extensions: &(dyn Fn() -> sockscope_browser::ExtensionHost + Sync),
-    make: &(dyn Fn(usize) -> A + Sync),
+    make: &(dyn Fn() -> A + Sync),
+    take: &(dyn Fn(&mut A) -> R + Sync),
     n: f64,
 ) {
+    let orch = OrchestratorConfig {
+        workers: 1,
+        ..OrchestratorConfig::default()
+    };
     let m = Meter::start();
-    let sinks =
-        sockscope_crawler::crawl_sharded_sink(era_web, crawl_config, 4, make_extensions, make);
+    sockscope_crawler::crawl_orchestrated(
+        era_web,
+        crawl_config,
+        &orch,
+        make_extensions,
+        make,
+        take,
+        &|| (),
+        &|_: &mut (), _site: R| {},
+    );
     let stats = m.finish();
-    drop(sinks);
     println!(
         "{label:<12} {:>12} allocs  {:>10.0} allocs/site  {:>8.2}s",
         stats.alloc_count,
@@ -146,7 +160,8 @@ fn main() {
         &era_web,
         &crawl_config,
         &make_extensions,
-        &|_| NullSink,
+        &|| NullSink,
+        &|_| (),
         n,
     );
     run(
@@ -154,7 +169,8 @@ fn main() {
         &era_web,
         &crawl_config,
         &make_extensions,
-        &|_| TreeSink { builder: None },
+        &|| TreeDropSink { builder: None },
+        &|_| (),
         n,
     );
     run(
@@ -162,7 +178,8 @@ fn main() {
         &era_web,
         &crawl_config,
         &make_extensions,
-        &|_| FusedShard::new(era.label(), era.pre_patch(), &engine),
+        &|| FusedShard::new(era.label(), era.pre_patch(), &engine),
+        &|shard: &mut FusedShard<'_>| shard.take_site_reduction(),
         n,
     );
 

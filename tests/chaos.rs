@@ -4,7 +4,7 @@
 //! The fault subsystem draws every decision from pure hashes of
 //! `(seed, site_rank, connection_id, attempt)` against a virtual clock, so
 //! an identical fault seed must yield a byte-identical snapshot across
-//! thread counts, shard counts, and reduction pipelines — and a zero-rate
+//! worker counts, shard counts, and the sequential reference — and a zero-rate
 //! profile must be byte-identical to not injecting at all. A fixed-profile
 //! regression pins the exact failure counts on a small calibration web so
 //! any drift in the fault streams is caught, not just nondeterminism.
@@ -40,11 +40,11 @@ fn faulted_study_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
-fn faulted_streaming_and_sharded_pipelines_are_byte_identical() {
+fn faulted_orchestrated_and_reference_pipelines_are_byte_identical() {
     let cfg = config(Some(FaultProfile::mild()), 4);
-    let sharded = snapshot_json(&Study::run(&cfg));
-    let streaming = snapshot_json(&Study::run_streaming(&cfg));
-    assert_eq!(sharded, streaming);
+    let orchestrated = snapshot_json(&Study::run(&cfg));
+    let reference = snapshot_json(&Study::run_reference(&cfg));
+    assert_eq!(orchestrated, reference);
 }
 
 #[test]
@@ -105,8 +105,10 @@ fn failure_counts_are_exactly_reproducible() {
 #[test]
 fn failure_tables_merge_associatively_under_crawl_reduction() {
     use sockscope::analysis::reduce::CrawlReduction;
-    use sockscope::analysis::PiiLibrary;
-    use sockscope::crawler::{browser_era, crawl_sharded, CrawlConfig};
+    use sockscope::analysis::FusedShard;
+    use sockscope::crawler::{
+        browser_era, crawl_orchestrated_resumable, CrawlConfig, OrchestratorConfig,
+    };
     use sockscope::filterlist::Engine;
     use sockscope::webgen::{SyntheticWeb, WebGenConfig};
 
@@ -118,29 +120,31 @@ fn failure_tables_merge_associatively_under_crawl_reduction() {
     assert!(errs.is_empty());
     let era = web.config().era.clone();
     let config = CrawlConfig {
-        threads: 4,
         faults: Some(FaultProfile::heavy()),
         ..CrawlConfig::default()
     };
+    let orch = OrchestratorConfig {
+        workers: 4,
+        ..OrchestratorConfig::default()
+    };
 
-    let shards = crawl_sharded(
+    let shards = crawl_orchestrated_resumable(
         &web,
         &config,
+        &orch,
         3,
         &|| sockscope::browser::ExtensionHost::stock(browser_era(&era)),
-        &|_shard| {
-            (
-                CrawlReduction::new(era.label(), era.pre_patch()),
-                PiiLibrary::new(),
-            )
-        },
-        &|acc: &mut (CrawlReduction, PiiLibrary), record| {
-            acc.0.observe_site(&record, &engine, &acc.1);
-        },
+        &|| FusedShard::new(era.label(), era.pre_patch(), &engine),
+        &|worker: &mut FusedShard<'_>| worker.take_site_reduction(),
+        &|_shard| CrawlReduction::new(era.label(), era.pre_patch()),
+        &|acc: &mut CrawlReduction, site| acc.absorb(site),
+        &|_shard| false,
+        &|_shard, _acc: &CrawlReduction| {},
+        &|| false,
     );
     let [a, b, c]: [CrawlReduction; 3] = shards
         .into_iter()
-        .map(|(reduction, _lib)| reduction)
+        .map(|shard| shard.expect("no shard skipped"))
         .collect::<Vec<_>>()
         .try_into()
         .expect("three shards");

@@ -1,6 +1,6 @@
 //! Reproducibility guarantees: identical seeds produce identical studies,
-//! regardless of thread count, shard count, or reduction pipeline;
-//! different seeds differ.
+//! regardless of worker count or checkpoint shard count; different seeds
+//! differ.
 
 use sockscope::analysis::snapshot::StudySnapshot;
 use sockscope::{Study, StudyConfig};
@@ -59,8 +59,6 @@ fn snapshot_json(study: &Study) -> String {
 
 #[test]
 fn sharded_study_is_byte_identical_across_thread_counts() {
-    // threads also scales the shard count (shards = threads * 4), so this
-    // exercises 4, 16, and 32 shards.
     let baseline = snapshot_json(&run(42, 1));
     for threads in [4, 8] {
         assert_eq!(
@@ -72,23 +70,15 @@ fn sharded_study_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
-fn streaming_and_sharded_pipelines_are_byte_identical() {
-    let config = StudyConfig {
-        seed: 42,
-        n_sites: 120,
-        threads: 4,
-        ..StudyConfig::default()
-    };
-    let sharded = snapshot_json(&Study::run(&config));
-    let streaming = snapshot_json(&Study::run_streaming(&config));
-    assert_eq!(sharded, streaming);
-}
-
-#[test]
 fn sharded_crawl_is_invariant_across_shard_counts() {
+    // The checkpoint partition (`i % shard_count`) decides which shard
+    // reduction each site folds into; merged and normalized, every
+    // partition must reduce to the same bytes.
     use sockscope::analysis::reduce::CrawlReduction;
-    use sockscope::analysis::PiiLibrary;
-    use sockscope::crawler::{browser_era, crawl_sharded, CrawlConfig};
+    use sockscope::analysis::FusedShard;
+    use sockscope::crawler::{
+        browser_era, crawl_orchestrated_resumable, CrawlConfig, OrchestratorConfig,
+    };
     use sockscope::filterlist::Engine;
     use sockscope::webgen::{SyntheticWeb, WebGenConfig};
 
@@ -99,29 +89,29 @@ fn sharded_crawl_is_invariant_across_shard_counts() {
     let (engine, errs) = Engine::parse_many(&[&web.easylist(), &web.easyprivacy()]);
     assert!(errs.is_empty());
     let era = web.config().era.clone();
-    let config = CrawlConfig {
-        threads: 4,
-        ..CrawlConfig::default()
+    let config = CrawlConfig::default();
+    let orch = OrchestratorConfig {
+        workers: 4,
+        ..OrchestratorConfig::default()
     };
 
     let reduce = |shards: usize| -> CrawlReduction {
-        let mut reduction = crawl_sharded(
+        let mut reduction = crawl_orchestrated_resumable(
             &web,
             &config,
+            &orch,
             shards,
             &|| sockscope::browser::ExtensionHost::stock(browser_era(&era)),
-            &|_shard| {
-                (
-                    CrawlReduction::new(era.label(), era.pre_patch()),
-                    PiiLibrary::new(),
-                )
-            },
-            &|acc: &mut (CrawlReduction, PiiLibrary), record| {
-                acc.0.observe_site(&record, &engine, &acc.1);
-            },
+            &|| FusedShard::new(era.label(), era.pre_patch(), &engine),
+            &|worker: &mut FusedShard<'_>| worker.take_site_reduction(),
+            &|_shard| CrawlReduction::new(era.label(), era.pre_patch()),
+            &|acc: &mut CrawlReduction, site| acc.absorb(site),
+            &|_shard| false,
+            &|_shard, _acc: &CrawlReduction| {},
+            &|| false,
         )
         .into_iter()
-        .map(|(reduction, _lib)| reduction)
+        .map(|shard| shard.expect("no shard skipped"))
         .fold(
             CrawlReduction::new(era.label(), era.pre_patch()),
             CrawlReduction::merge,

@@ -1,16 +1,17 @@
 //! Orchestrator identity: the work-stealing pipelined crawl driver must be
-//! **scheduling invisible** — byte-identical study snapshots to the static
-//! shard-per-thread driver, at every worker count, every queue depth, with
-//! and without fault injection, and under a seeded adversarial scheduler
-//! that maximizes steals and backpressure stalls.
+//! **scheduling invisible** — byte-identical study snapshots at every
+//! worker count and every queue depth, and under a seeded adversarial
+//! scheduler that maximizes steals and backpressure stalls.
 //!
-//! The fault-free matrix additionally pins the snapshot to the same CRC as
-//! `snapshot_regression.rs`/`stream_identity.rs`, so the matrix can never
-//! "pass" by the orchestrated and static drivers drifting together.
+//! The fault-free matrix is pinned to the same CRC as
+//! `snapshot_regression.rs`/`stream_identity.rs`. Configs the CRC does not
+//! pin (heavy faults) are diffed against the sequential reference
+//! ([`Study::run_reference`]), which shares only the per-site frontier
+//! loop with the orchestrator.
 
 use sockscope::analysis::snapshot::StudySnapshot;
 use sockscope::{Study, StudyConfig};
-use sockscope_analysis::{CrawlReduction, FusedShard};
+use sockscope_analysis::{CrawlReduction, FusedShard, PiiLibrary};
 use sockscope_crawler::OrchestratorConfig;
 use sockscope_webgen::CrawlEra;
 
@@ -39,8 +40,7 @@ fn faulted_config() -> StudyConfig {
 
 fn orchestrated_snapshot(base: &StudyConfig, workers: usize, queue_depth: usize) -> String {
     let config = StudyConfig {
-        orchestrated: true,
-        workers: Some(workers),
+        threads: workers,
         queue_depth,
         ..base.clone()
     };
@@ -67,11 +67,11 @@ fn orchestrated_snapshots_are_pinned_across_workers_and_queue_depths() {
 }
 
 #[test]
-fn orchestrated_matches_static_shards_under_heavy_faults() {
+fn orchestrated_matches_the_sequential_reference_under_heavy_faults() {
     // Faults change per-site wall time wildly, which reshuffles which
     // worker crawls what and how often the reducer stalls — exactly the
     // schedules where a reorder bug would surface.
-    let reference = StudySnapshot::capture(&Study::run_static_shards(&faulted_config())).to_json();
+    let reference = StudySnapshot::capture(&Study::run_reference(&faulted_config())).to_json();
     for (workers, queue_depth) in [(1, 1), (4, 16), (8, 256)] {
         let orchestrated = orchestrated_snapshot(&faulted_config(), workers, queue_depth);
         assert_eq!(
@@ -83,13 +83,13 @@ fn orchestrated_matches_static_shards_under_heavy_faults() {
 
 #[test]
 fn orchestrated_matches_the_record_materializing_reference() {
-    // Zero-fault differential against the *other* locked pipeline: the
-    // buffering `visit_reference` browser path with batch reduction. This
-    // crosses both the driver boundary and the fusion boundary at once.
+    // Zero-fault differential against the sequential reference: buffered
+    // page events and per-record reduction. This crosses both the driver
+    // boundary and the fusion boundary at once.
     let config = StudyConfig {
         seed: 0xD15C,
         n_sites: 80,
-        workers: Some(3),
+        threads: 3,
         queue_depth: 4,
         ..StudyConfig::default()
     };
@@ -104,7 +104,7 @@ fn adversarial_steal_and_backpressure_schedules_cannot_move_a_byte() {
     // steal-first and injects yields between claim and admission, while a
     // depth-1 queue and the tightest admission window maximize
     // backpressure stalls and unclaim/retry churn. Every schedule must
-    // reduce to the very bytes the static driver produces.
+    // reduce to the very bytes the sequential reference produces.
     let config = StudyConfig {
         seed: 0xD15C,
         n_sites: 60,
@@ -119,19 +119,11 @@ fn adversarial_steal_and_backpressure_schedules_cannot_move_a_byte() {
     let make_extensions =
         || sockscope_browser::ExtensionHost::stock(sockscope_crawler::browser_era(&era.into()));
 
-    let mut reference = sockscope_crawler::crawl_sharded_sink(
-        &era_web,
-        &crawl_config,
-        4,
-        &make_extensions,
-        &|_shard| FusedShard::new(era.label(), era.pre_patch(), &engine),
-    )
-    .into_iter()
-    .map(FusedShard::into_reduction)
-    .fold(
-        CrawlReduction::new(era.label(), era.pre_patch()),
-        CrawlReduction::merge,
-    );
+    let lib = PiiLibrary::new();
+    let mut reference = CrawlReduction::new(era.label(), era.pre_patch());
+    for record in sockscope_crawler::crawl(&era_web, &crawl_config).records {
+        reference.observe_site(&record, &engine, &lib);
+    }
     reference.normalize();
 
     for chaos_seed in [1, 0xBAD_5EED, u64::MAX] {

@@ -402,13 +402,7 @@ mod shard_fixture {
             });
             let (engine, errs) = Engine::parse_many(&[&web.easylist(), &web.easyprivacy()]);
             assert!(errs.is_empty(), "generated lists must parse");
-            let dataset = crawl(
-                &web,
-                &CrawlConfig {
-                    threads: 2,
-                    ..CrawlConfig::default()
-                },
-            );
+            let dataset = crawl(&web, &CrawlConfig::default());
             Fixture {
                 label: dataset.label.clone(),
                 pre_patch: dataset.era.pre_patch(),

@@ -4,11 +4,12 @@
 //! reference path, at every thread count, with and without fault
 //! injection.
 //!
-//! [`Study::run`] drives the fused sink pipeline; [`Study::run_reference`]
-//! drives the same crawl with the browser on its buffering
-//! `visit_reference` path and full `SiteRecord`s reduced in batch. Any
-//! divergence means stream fusion changed a classification, attribution,
-//! or accounting decision — not just where its bytes lived.
+//! [`Study::run`] drives the fused sink pipeline on the orchestrator;
+//! [`Study::run_reference`] drives the sequential reference crawl, which
+//! buffers every page's events and reduces full `SiteRecord`s one by one.
+//! Any divergence means stream fusion or scheduling changed a
+//! classification, attribution, or accounting decision — not just where
+//! its bytes lived.
 
 use sockscope::analysis::snapshot::StudySnapshot;
 use sockscope::{Study, StudyConfig};
@@ -29,10 +30,12 @@ fn pinned_config(threads: usize) -> StudyConfig {
 
 #[test]
 fn fused_and_reference_snapshots_are_byte_identical_across_thread_counts() {
+    // The sequential reference ignores `threads`, so one run serves every
+    // thread count.
+    let reference = StudySnapshot::capture(&Study::run_reference(&pinned_config(1))).to_json();
     for threads in [1, 4, 8] {
         let config = pinned_config(threads);
         let fused = StudySnapshot::capture(&Study::run(&config)).to_json();
-        let reference = StudySnapshot::capture(&Study::run_reference(&config)).to_json();
         assert_eq!(
             fused, reference,
             "fused and reference snapshots diverged at {threads} threads"

@@ -52,7 +52,7 @@ fn quarantined_ids(study: &Study) -> Vec<BTreeSet<usize>> {
 #[test]
 fn poisoned_matrix_yields_one_quarantine_set_and_one_snapshot() {
     let baseline_study = Study::run(&StudyConfig {
-        workers: Some(1),
+        threads: 1,
         queue_depth: 1,
         ..poisoned_config()
     });
@@ -77,7 +77,7 @@ fn poisoned_matrix_yields_one_quarantine_set_and_one_snapshot() {
                 continue;
             }
             let study = Study::run(&StudyConfig {
-                workers: Some(workers),
+                threads: workers,
                 queue_depth,
                 ..poisoned_config()
             });
