@@ -1,8 +1,11 @@
 //! The filter-matching engine.
 
 use crate::rule::{Anchor, ParsedLine, ResourceType, Rule, RuleError};
-use sockscope_urlkit::{second_level_domain, Url};
+use sockscope_urlkit::psl::shares_second_level_domain;
+use sockscope_urlkit::{second_level_domain, Host, Url};
 use std::collections::HashMap;
+use std::fmt::Write as _;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A request being evaluated against the lists.
 #[derive(Debug, Clone)]
@@ -40,12 +43,35 @@ impl Decision {
     }
 }
 
+/// Hasher for the token index. Its keys are FNV-1a token hashes that are
+/// already well mixed, so hashing them a second time (SipHash) is pure
+/// cost on every URL token. Only the compiled lists insert keys; request
+/// URLs only probe, so a URL cannot lengthen a bucket chain.
+#[derive(Debug, Clone, Copy, Default)]
+struct TokenHasher(u64);
+
+impl Hasher for TokenHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+}
+
 /// A compiled filter list.
 #[derive(Debug, Clone, Default)]
 pub struct Engine {
     rules: Vec<Rule>,
-    /// Domain-anchored rules indexed by the first hostname label sequence of
-    /// their pattern, for cheap candidate lookup.
+    /// `||` rules whose pattern starts with a complete host (see
+    /// [`domain_key`]), indexed by that host's second-level domain.
     domain_index: HashMap<String, Vec<usize>>,
     /// Rules that must be scanned for every request (pre-token-index
     /// shape; kept as the reference path for differential tests).
@@ -53,7 +79,7 @@ pub struct Engine {
     /// Generic rules keyed by one *complete* token of their pattern
     /// (adblock-style): a rule is only a candidate for URLs that contain
     /// that token as a maximal `[a-z0-9]` run. See [`choose_token`].
-    token_index: HashMap<u64, Vec<usize>>,
+    token_index: HashMap<u64, Vec<usize>, BuildHasherDefault<TokenHasher>>,
     /// Generic rules with no usable token; scanned for every request.
     untokenized: Vec<usize>,
 }
@@ -76,16 +102,7 @@ impl Engine {
     /// alongside the engine (EasyList in the wild always contains a few
     /// rules outside any parser's subset; the paper's pipeline skips them).
     pub fn parse(list_text: &str) -> (Engine, Vec<(usize, RuleError)>) {
-        let mut engine = Engine::default();
-        let mut errors = Vec::new();
-        for (lineno, line) in list_text.lines().enumerate() {
-            match crate::rule::parse_line(line) {
-                Ok(ParsedLine::Rule(rule)) => engine.push_rule(rule),
-                Ok(ParsedLine::Ignored) => {}
-                Err(e) => errors.push((lineno + 1, e)),
-            }
-        }
-        (engine, errors)
+        Engine::parse_many(&[list_text])
     }
 
     /// Compiles multiple lists into one engine (the paper combines EasyList
@@ -108,21 +125,11 @@ impl Engine {
     /// Adds one rule.
     pub fn push_rule(&mut self, rule: Rule) {
         let idx = self.rules.len();
-        // Index key: for `||domain…` rules, the domain part up to the first
-        // separator/slash.
-        if rule.anchor == Anchor::Domain {
-            if let Some(first) = rule.parts.first() {
-                let key: String = first
-                    .chars()
-                    .take_while(|&c| c.is_ascii_alphanumeric() || c == '.' || c == '-' || c == '_')
-                    .collect();
-                if !key.is_empty() {
-                    let sld = second_level_domain(&key).to_string();
-                    self.rules.push(rule);
-                    self.domain_index.entry(sld).or_default().push(idx);
-                    return;
-                }
-            }
+        if let Some(key) = domain_key(&rule) {
+            let sld = second_level_domain(key).to_string();
+            self.rules.push(rule);
+            self.domain_index.entry(sld).or_default().push(idx);
+            return;
         }
         match choose_token(&rule) {
             Some(token) => self
@@ -170,43 +177,30 @@ impl Engine {
     /// sound (a matching rule's token always occurs in the URL), so the
     /// decision — including the winning rule index — is identical to
     /// [`Engine::evaluate_reference`] on every request.
+    ///
+    /// The lowercased URL text is the only allocation, plus one candidate
+    /// `Vec` when the token index hits: the domain hits and the
+    /// untokenized rules are walked in place.
     pub fn evaluate(&self, ctx: &RequestContext<'_>) -> Decision {
-        let url_text = ctx.url.to_string().to_ascii_lowercase();
-        let mut block: Option<usize> = None;
-        let mut candidates: Vec<usize> = Vec::new();
-        if let Some(sld) = ctx.url.second_level_domain() {
-            if let Some(v) = self.domain_index.get(sld) {
-                candidates.extend_from_slice(v);
-            }
-        }
-        let domain_hits = candidates.len();
+        let mut req = Request::new(ctx);
+        let mut token_hits: Vec<usize> = Vec::new();
         if !self.token_index.is_empty() {
-            for_each_url_token(&url_text, |hash| {
+            for_each_url_token(&req.url_text, |hash| {
                 if let Some(v) = self.token_index.get(&hash) {
-                    candidates.extend_from_slice(v);
+                    token_hits.extend_from_slice(v);
                 }
             });
+            // Rule order among the generic candidates, so "first match
+            // wins" picks the same rule the linear scan would. A token that
+            // occurs twice in the URL hits its bucket twice.
+            token_hits.sort_unstable();
+            token_hits.dedup();
         }
-        candidates.extend_from_slice(&self.untokenized);
-        // Restore rule order among the generic candidates so "first match
-        // wins" picks the same rule the linear scan would.
-        candidates[domain_hits..].sort_unstable();
-        for &i in &candidates {
-            let rule = &self.rules[i];
-            if !rule_applies(rule, ctx) {
-                continue;
-            }
-            if pattern_matches(rule, &url_text, ctx.url) {
-                if rule.exception {
-                    return Decision::Allow(i);
-                }
-                block.get_or_insert(i);
-            }
-        }
-        match block {
-            Some(i) => Decision::Block(i),
-            None => Decision::None,
-        }
+        let generic = merge_sorted(&token_hits, &self.untokenized);
+        self.decide(
+            &mut req,
+            self.domain_hits(ctx.url).iter().copied().chain(generic),
+        )
     }
 
     /// Reference evaluation: the pre-token-index shape, scanning every
@@ -214,37 +208,94 @@ impl Engine {
     /// `matchers` micro-bench; must agree with [`Engine::evaluate`] on
     /// every request (including the winning rule index).
     pub fn evaluate_reference(&self, ctx: &RequestContext<'_>) -> Decision {
-        let url_text = ctx.url.to_string().to_ascii_lowercase();
-        let mut block: Option<usize> = None;
-        let mut candidates: Vec<usize> = Vec::new();
-        if let Some(sld) = ctx.url.second_level_domain() {
-            if let Some(v) = self.domain_index.get(sld) {
-                candidates.extend_from_slice(v);
-            }
-        }
-        candidates.extend_from_slice(&self.generic);
-        for &i in &candidates {
-            let rule = &self.rules[i];
-            if !rule_applies(rule, ctx) {
-                continue;
-            }
-            if pattern_matches(rule, &url_text, ctx.url) {
-                if rule.exception {
-                    return Decision::Allow(i);
-                }
-                block.get_or_insert(i);
-            }
-        }
-        match block {
-            Some(i) => Decision::Block(i),
-            None => Decision::None,
-        }
+        let mut req = Request::new(ctx);
+        let candidates = self.domain_hits(ctx.url).iter().chain(&self.generic);
+        self.decide(&mut req, candidates.copied())
     }
 
     /// Convenience: would this request be blocked?
     pub fn blocks(&self, ctx: &RequestContext<'_>) -> bool {
         self.evaluate(ctx).is_blocked()
     }
+
+    /// The domain-indexed rules for the URL's second-level domain.
+    fn domain_hits(&self, url: &Url) -> &[usize] {
+        url.second_level_domain()
+            .and_then(|sld| self.domain_index.get(sld))
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// Runs the full matcher over `candidates` in order: the first matching
+    /// exception wins outright, else the first matching block rule.
+    fn decide(
+        &self,
+        req: &mut Request<'_, '_>,
+        candidates: impl Iterator<Item = usize>,
+    ) -> Decision {
+        let mut block: Option<usize> = None;
+        for i in candidates {
+            let rule = &self.rules[i];
+            if !req.applies(rule) || !req.matches(rule) {
+                continue;
+            }
+            if rule.exception {
+                return Decision::Allow(i);
+            }
+            block.get_or_insert(i);
+        }
+        match block {
+            Some(i) => Decision::Block(i),
+            None => Decision::None,
+        }
+    }
+}
+
+/// The two ascending index slices merged into one ascending walk. The
+/// token-indexed and untokenized rule sets are disjoint, so no index
+/// repeats.
+fn merge_sorted<'s>(a: &'s [usize], b: &'s [usize]) -> impl Iterator<Item = usize> + 's {
+    let (mut i, mut j) = (0, 0);
+    std::iter::from_fn(move || {
+        let next = match (a.get(i), b.get(j)) {
+            (Some(&x), Some(&y)) => x.min(y),
+            (Some(&x), None) | (None, Some(&x)) => x,
+            (None, None) => return None,
+        };
+        if a.get(i) == Some(&next) {
+            i += 1;
+        } else {
+            j += 1;
+        }
+        Some(next)
+    })
+}
+
+/// The index key of a `||` rule: the leading host of its pattern, when
+/// that host is *complete* — a DNS name followed by `^`, `/` or `:` — and
+/// every name under it shares its second-level domain
+/// ([`shares_second_level_domain`]). Then every URL the anchor can match
+/// has a host at or under the key, hence the key's second-level domain,
+/// and the domain index finds the rule through the URL's.
+///
+/// Any other `||` rule returns `None` and takes the generic path, where
+/// `Request::matches` checks the anchor itself: a partial host
+/// (`||adserver`, `||ads*.example^`, `||pixel.`), an IPv4 literal or
+/// all-numeric tail (`||10.1.2.3^`; IPv4 hosts have no second-level
+/// domain), or a public suffix (`||co.uk^`).
+fn domain_key(rule: &Rule) -> Option<&str> {
+    if rule.anchor != Anchor::Domain {
+        return None;
+    }
+    let first = rule.parts.first()?;
+    let len = first
+        .bytes()
+        .take_while(|&b| b.is_ascii_alphanumeric() || matches!(b, b'.' | b'-' | b'_'))
+        .count();
+    let (key, rest) = first.split_at(len);
+    let complete = matches!(rest.bytes().next(), Some(b'^' | b'/' | b':'));
+    let dns_name = matches!(Host::parse(key), Ok(Host::Domain(_)))
+        && key.bytes().any(|b| !b.is_ascii_digit() && b != b'.');
+    (complete && dns_name && shares_second_level_domain(key)).then_some(key)
 }
 
 /// `true` for characters that make up an indexable token. The URL text is
@@ -336,35 +387,104 @@ fn choose_token(rule: &Rule) -> Option<&str> {
     best.or(best_stop)
 }
 
-/// Checks the rule's option constraints against the request.
-fn rule_applies(rule: &Rule, ctx: &RequestContext<'_>) -> bool {
-    if let Some(types) = &rule.types {
-        if !types.contains(&ctx.resource_type) {
-            return false;
+/// Per-request state shared by every candidate rule.
+struct Request<'c, 'a> {
+    ctx: &'c RequestContext<'a>,
+    /// The URL as `Display` renders it, ASCII-lowercased — the one
+    /// allocation per request.
+    url_text: String,
+    /// Byte offset of the host in `url_text` (just past `://`).
+    host_at: usize,
+    /// The third-party bit, computed on first use: most candidates carry
+    /// no `$third-party` option.
+    third_party: Option<bool>,
+}
+
+impl<'c, 'a> Request<'c, 'a> {
+    fn new(ctx: &'c RequestContext<'a>) -> Self {
+        let url = ctx.url;
+        let (scheme, host, path) = (url.scheme(), url.host_str(), url.path());
+        let query = url.query();
+        // 6 = ":65535"; 1 = '?'.
+        let mut url_text = String::with_capacity(
+            scheme.as_str().len() + 3 + host.len() + 6 + path.len() + 1 + query.map_or(0, str::len),
+        );
+        url_text.push_str(scheme.as_str());
+        url_text.push_str("://");
+        let host_at = url_text.len();
+        url_text.push_str(host);
+        if url.port() != scheme.default_port() {
+            let _ = write!(url_text, ":{}", url.port());
+        }
+        url_text.push_str(path);
+        if let Some(query) = query {
+            url_text.push('?');
+            url_text.push_str(query);
+        }
+        url_text.make_ascii_lowercase();
+        Request {
+            ctx,
+            url_text,
+            host_at,
+            third_party: None,
         }
     }
-    if let Some(third) = rule.third_party {
-        if ctx.is_third_party() != third {
-            return false;
+
+    /// Checks the rule's option constraints against the request.
+    fn applies(&mut self, rule: &Rule) -> bool {
+        if let Some(types) = &rule.types {
+            if !types.contains(&self.ctx.resource_type) {
+                return false;
+            }
+        }
+        if let Some(third) = rule.third_party {
+            let ctx = self.ctx;
+            if *self.third_party.get_or_insert_with(|| ctx.is_third_party()) != third {
+                return false;
+            }
+        }
+        if !rule.include_domains.is_empty() || !rule.exclude_domains.is_empty() {
+            let page_sld = self.ctx.page.second_level_domain().unwrap_or_default();
+            let page_host = self.ctx.page.host_str();
+            let hits = |d: &String| {
+                d == page_sld
+                    || d == page_host
+                    || page_host
+                        .strip_suffix(d.as_str())
+                        .is_some_and(|sub| sub.ends_with('.'))
+            };
+            if !rule.include_domains.is_empty() && !rule.include_domains.iter().any(hits) {
+                return false;
+            }
+            if rule.exclude_domains.iter().any(hits) {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Full pattern match of `rule` against the lowercased URL text.
+    fn matches(&self, rule: &Rule) -> bool {
+        let text = self.url_text.as_str();
+        match rule.anchor {
+            Anchor::Domain => {
+                // `||pattern` matches starting at the host or any subdomain
+                // boundary within the host.
+                let host =
+                    &text.as_bytes()[self.host_at..self.host_at + self.ctx.url.host_str().len()];
+                std::iter::once(self.host_at)
+                    .chain(
+                        host.iter()
+                            .enumerate()
+                            .filter(|&(_, &b)| b == b'.')
+                            .map(|(i, _)| self.host_at + i + 1),
+                    )
+                    .any(|off| match_parts_from(rule, text, off, true))
+            }
+            Anchor::Start => match_parts_from(rule, text, 0, true),
+            Anchor::None => match_parts_from(rule, text, 0, false),
         }
     }
-    if !rule.include_domains.is_empty() || !rule.exclude_domains.is_empty() {
-        let page_sld = ctx
-            .page
-            .second_level_domain()
-            .unwrap_or_default()
-            .to_string();
-        let page_host = ctx.page.host_str();
-        let hits =
-            |d: &String| *d == page_sld || *d == page_host || page_host.ends_with(&format!(".{d}"));
-        if !rule.include_domains.is_empty() && !rule.include_domains.iter().any(hits) {
-            return false;
-        }
-        if rule.exclude_domains.iter().any(hits) {
-            return false;
-        }
-    }
-    true
 }
 
 /// ABP separator: anything that is not alphanumeric, `_`, `-`, `.`, `%`;
@@ -375,20 +495,18 @@ fn is_separator(c: char) -> bool {
 
 /// Matches one literal part (which may contain `^` separators) against
 /// `text` starting exactly at `pos`. Returns the end position.
+///
+/// Literal bytes compare bytewise: both sides are valid UTF-8 and `pos`
+/// sits on a char boundary, so equal bytes mean equal chars.
 fn match_part_at(part: &str, text: &str, pos: usize) -> Option<usize> {
+    let (pattern, bytes) = (part.as_bytes(), text.as_bytes());
     let mut t = pos;
-    let bytes = text.as_bytes();
-    let mut chars = part.chars().peekable();
-    while let Some(pc) = chars.next() {
-        if pc == '^' {
-            if t == text.len() {
+    for (j, &pc) in pattern.iter().enumerate() {
+        if pc == b'^' {
+            if t == bytes.len() {
                 // '^' may match the end of the URL, but only as the final
                 // pattern character.
-                return if chars.peek().is_none() {
-                    Some(t)
-                } else {
-                    None
-                };
+                return (j + 1 == pattern.len()).then_some(t);
             }
             let c = text[t..].chars().next()?;
             if !is_separator(c) {
@@ -396,61 +514,32 @@ fn match_part_at(part: &str, text: &str, pos: usize) -> Option<usize> {
             }
             t += c.len_utf8();
         } else {
-            if t >= bytes.len() {
+            if bytes.get(t) != Some(&pc) {
                 return None;
             }
-            let c = text[t..].chars().next()?;
-            if c != pc {
-                return None;
-            }
-            t += c.len_utf8();
+            t += 1;
         }
     }
     Some(t)
 }
 
-/// Finds the first position ≥ `from` where `part` matches; returns end pos.
-fn find_part(part: &str, text: &str, from: usize) -> Option<(usize, usize)> {
-    if part.is_empty() {
-        return Some((from, from));
-    }
+/// Finds the first position ≥ `from` where `part` matches; returns the
+/// end of that match.
+fn find_part(part: &str, text: &str, from: usize) -> Option<usize> {
+    let Some(caret) = part.find('^') else {
+        // No separators: a plain substring search.
+        return Some(from + text[from..].find(part)? + part.len());
+    };
+    // Every match starts with the literal before the first '^', so only
+    // its occurrences are tried (every position when it is empty).
+    let prefix = &part[..caret];
     let mut start = from;
-    while start <= text.len() {
+    loop {
+        start += text[start..].find(prefix)?;
         if let Some(end) = match_part_at(part, text, start) {
-            return Some((start, end));
+            return Some(end);
         }
-        // Advance one char.
-        match text[start..].chars().next() {
-            Some(c) => start += c.len_utf8(),
-            None => break,
-        }
-    }
-    None
-}
-
-/// Full pattern match of `rule` against the lower-cased URL text.
-fn pattern_matches(rule: &Rule, url_text: &str, url: &Url) -> bool {
-    match rule.anchor {
-        Anchor::Domain => {
-            // `||pattern` matches starting at the host or any subdomain
-            // boundary within the host.
-            let host = url.host_str().to_ascii_lowercase();
-            let scheme_len = url_text.find("://").map(|i| i + 3).unwrap_or(0);
-            let mut offsets = vec![scheme_len];
-            for (i, b) in host.bytes().enumerate() {
-                if b == b'.' {
-                    offsets.push(scheme_len + i + 1);
-                }
-            }
-            offsets
-                .into_iter()
-                .any(|off| match_parts_from(rule, url_text, off, true))
-        }
-        Anchor::Start => match_parts_from(rule, url_text, 0, true),
-        Anchor::None => {
-            // Try every position for the first part.
-            match_parts_from(rule, url_text, 0, false)
-        }
+        start += text[start..].chars().next()?.len_utf8();
     }
 }
 
@@ -459,14 +548,13 @@ fn pattern_matches(rule: &Rule, url_text: &str, url: &Url) -> bool {
 fn match_parts_from(rule: &Rule, text: &str, from: usize, anchored: bool) -> bool {
     let mut pos = from;
     for (i, part) in rule.parts.iter().enumerate() {
-        let first = i == 0;
-        let result = if first && anchored {
-            match_part_at(part, text, pos).map(|end| (pos, end))
+        let result = if i == 0 && anchored {
+            match_part_at(part, text, pos)
         } else {
             find_part(part, text, pos)
         };
         match result {
-            Some((_start, end)) => pos = end,
+            Some(end) => pos = end,
             None => return false,
         }
     }
@@ -728,6 +816,88 @@ $websocket,domain=pub.example
         let stats = e.index_stats();
         assert_eq!(stats.tokenized, 0, "{stats:?}");
         assert_eq!(stats.untokenized, 1, "{stats:?}");
+    }
+
+    /// `||` rules whose pattern does not start with a complete host (or
+    /// whose host has no second-level domain to index under) still match
+    /// at a host boundary, through the generic path.
+    #[test]
+    fn partial_domain_anchors_match() {
+        let page = url("http://pub.example/");
+        for (rule, hit, miss) in [
+            (
+                "||adserver",
+                "http://adserver.example/x",
+                "http://myadserver.example/x",
+            ),
+            (
+                "||ads*.example^",
+                "http://ads1.example/x",
+                "http://ads1.examples/x",
+            ),
+            (
+                "||pixel.",
+                "http://pixel.tracker.example/p",
+                "http://apixel.tracker.example/p",
+            ),
+            ("||10.1.2.3^", "http://10.1.2.3/x", "http://110.1.2.3/x"),
+            ("||2.3.4^", "http://1.2.3.4/x", "http://1.2.3.45/x"),
+            (
+                "||localhost^",
+                "http://a.localhost/x",
+                "http://alocalhost/x",
+            ),
+            (
+                "||co.uk^",
+                "http://shop.example.co.uk/x",
+                "http://example.com/co.uk/",
+            ),
+            (
+                "||amazonaws.com^",
+                "http://b.s3.amazonaws.com/x",
+                "http://amazonaws.co/x",
+            ),
+        ] {
+            let e = engine(rule);
+            assert_eq!(e.index_stats().domain_indexed, 0, "{rule}");
+            for (u, blocked) in [(hit, true), (miss, false)] {
+                let u = url(u);
+                let c = ctx(&u, &page, ResourceType::Image);
+                assert_eq!(e.evaluate(&c), e.evaluate_reference(&c), "{rule} on {u}");
+                assert_eq!(e.blocks(&c), blocked, "{rule} on {u}");
+            }
+        }
+        // Complete hosts keep the domain index.
+        for rule in [
+            "||ads.example^",
+            "||ads.example/x",
+            "||ads.example:8080",
+            "||a.b.example.co.uk^",
+        ] {
+            assert_eq!(engine(rule).index_stats().domain_indexed, 1, "{rule}");
+        }
+    }
+
+    #[test]
+    fn separator_and_literal_scans() {
+        let e = engine("^ad^\n/x^y^\nzz^\n|http://a.example:81/p?Q=é^");
+        let page = url("http://pub.example/");
+        for (u, blocked) in [
+            ("http://x.example/ad/1", true),
+            ("http://x.example/bad/1", false),
+            ("http://x.example/ad", true),
+            ("http://x.example/px/x/y/", true),
+            ("http://x.example/x.y/", false),
+            ("http://x.example/?zz", true),
+            ("http://x.example/?zza", false),
+            ("http://a.example:81/p?q=é", true),
+            ("http://a.example:81/p?q=éx", false),
+        ] {
+            let u = url(u);
+            let c = ctx(&u, &page, ResourceType::Other);
+            assert_eq!(e.evaluate(&c), e.evaluate_reference(&c), "{u}");
+            assert_eq!(e.blocks(&c), blocked, "{u}");
+        }
     }
 
     #[test]

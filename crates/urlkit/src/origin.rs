@@ -60,13 +60,14 @@ impl Origin {
     ///
     /// IPv4 hosts are same-site only when identical.
     pub fn same_site(&self, other: &Origin) -> bool {
-        match (
-            self.host.second_level_domain(),
-            other.host.second_level_domain(),
-        ) {
-            (Some(a), Some(b)) => a == b,
-            _ => self.host == other.host,
-        }
+        same_site(&self.host, &other.host)
+    }
+}
+
+fn same_site(a: &Host, b: &Host) -> bool {
+    match (a.second_level_domain(), b.second_level_domain()) {
+        (Some(sld_a), Some(sld_b)) => sld_a == sld_b,
+        _ => a == b,
     }
 }
 
@@ -100,7 +101,9 @@ impl fmt::Display for Origin {
 /// assert!(is_third_party(&page, &cross));
 /// ```
 pub fn is_third_party(first_party: &Url, resource: &Url) -> bool {
-    !first_party.origin().same_site(&resource.origin())
+    // Compares the hosts in place: building two `Origin`s would copy both
+    // host strings on every filter decision.
+    !same_site(first_party.host(), resource.host())
 }
 
 #[cfg(test)]

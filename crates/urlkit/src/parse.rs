@@ -117,13 +117,10 @@ impl Url {
             return Err(ParseError::BadChar);
         }
         let (scheme_str, rest) = input.split_once(':').ok_or(ParseError::BadScheme)?;
-        let scheme = match scheme_str.to_ascii_lowercase().as_str() {
-            "http" => Scheme::Http,
-            "https" => Scheme::Https,
-            "ws" => Scheme::Ws,
-            "wss" => Scheme::Wss,
-            _ => return Err(ParseError::BadScheme),
-        };
+        let scheme = [Scheme::Http, Scheme::Https, Scheme::Ws, Scheme::Wss]
+            .into_iter()
+            .find(|s| scheme_str.eq_ignore_ascii_case(s.as_str()))
+            .ok_or(ParseError::BadScheme)?;
         let rest = rest
             .strip_prefix("//")
             .ok_or(ParseError::MissingSeparator)?;
@@ -318,6 +315,14 @@ mod tests {
         assert!(!Url::parse("https://a.example/s").unwrap().is_websocket());
         assert_eq!(Url::parse("ws://a.example/s").unwrap().port(), 80);
         assert_eq!(Url::parse("wss://a.example/s").unwrap().port(), 443);
+    }
+
+    #[test]
+    fn scheme_is_case_insensitive() {
+        let u = Url::parse("WsS://A.Example/s").unwrap();
+        assert_eq!(u.scheme(), Scheme::Wss);
+        assert_eq!(u.to_string(), "wss://a.example/s");
+        assert_eq!(Url::parse("HTTPX://a.example/"), Err(ParseError::BadScheme));
     }
 
     #[test]

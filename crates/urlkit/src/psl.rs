@@ -126,39 +126,64 @@ pub fn is_public_suffix(domain: &str) -> bool {
 /// ```
 pub fn second_level_domain(host: &str) -> &str {
     let host = host.strip_suffix('.').unwrap_or(host);
-    // Collect label boundaries from the right.
-    let mut best: Option<&str> = None;
-    let mut idx = 0usize;
-    let mut starts: Vec<usize> = vec![0];
-    for (i, b) in host.bytes().enumerate() {
-        if b == b'.' {
-            starts.push(i + 1);
+    // Start offsets of the last (up to) four labels, right to left. No
+    // public suffix is longer than three labels, so the registrable
+    // domain — the longest matching suffix plus one label — never reaches
+    // further left than the fourth label from the right.
+    let mut starts = [0usize; 4];
+    let mut labels = 0;
+    let mut end = host.len();
+    while labels < starts.len() {
+        let start = host[..end].rfind('.').map_or(0, |dot| dot + 1);
+        starts[labels] = start;
+        labels += 1;
+        if start == 0 {
+            break;
         }
-        idx = i;
+        end = start - 1;
     }
-    let _ = idx;
-    // Walk suffix candidates from longest to shortest; the registrable
-    // domain is one label above the longest matching public suffix.
-    for (pos, &start) in starts.iter().enumerate() {
-        let suffix = &host[start..];
-        if is_public_suffix(suffix) {
-            if pos == 0 {
+    // Suffix candidates from longest (three labels) to shortest.
+    for k in (1..=labels.min(3)).rev() {
+        if is_public_suffix(&host[starts[k - 1]..]) {
+            if starts[k - 1] == 0 {
                 // The whole host is a public suffix.
                 return host;
             }
-            best = Some(&host[starts[pos - 1]..]);
-            break;
+            return &host[starts[k]..];
         }
     }
-    if let Some(b) = best {
-        return b;
-    }
     // Unknown suffix: fall back to the last two labels.
-    if starts.len() >= 2 {
-        &host[starts[starts.len() - 2]..]
+    if labels >= 2 {
+        &host[starts[1]..]
     } else {
         host
     }
+}
+
+/// `true` when `domain` and every DNS name under it (ending in
+/// `.{domain}`) share one second-level domain: `domain` has at least two
+/// labels, is not itself a public suffix, and no public suffix lies below
+/// it. `doubleclick.net` qualifies; `localhost` (`a.localhost` registers
+/// as itself), `co.uk` and `amazonaws.com` (`b.s3.amazonaws.com` registers
+/// under the suffix `s3.amazonaws.com`) do not.
+///
+/// ```
+/// use sockscope_urlkit::psl::shares_second_level_domain;
+/// assert!(shares_second_level_domain("ads.doubleclick.net"));
+/// assert!(shares_second_level_domain("x.example.unknowntld"));
+/// assert!(!shares_second_level_domain("localhost"));
+/// assert!(!shares_second_level_domain("co.uk"));
+/// assert!(!shares_second_level_domain("github.io"));
+/// assert!(!shares_second_level_domain("amazonaws.com"));
+/// ```
+pub fn shares_second_level_domain(domain: &str) -> bool {
+    domain.contains('.')
+        && !is_public_suffix(domain)
+        && !DOUBLE_LABEL_SUFFIXES.iter().any(|suffix| {
+            suffix
+                .strip_suffix(domain)
+                .is_some_and(|above| above.ends_with('.'))
+        })
 }
 
 #[cfg(test)]
@@ -206,6 +231,23 @@ mod tests {
     fn private_suffixes() {
         assert_eq!(second_level_domain("user.github.io"), "user.github.io");
         assert_eq!(second_level_domain("deep.user.github.io"), "user.github.io");
+    }
+
+    #[test]
+    fn walks_only_the_trailing_labels() {
+        assert_eq!(
+            second_level_domain("a.b.c.d.e.example.co.uk"),
+            "example.co.uk"
+        );
+        assert_eq!(
+            second_level_domain("x.y.bucket.s3.amazonaws.com"),
+            "bucket.s3.amazonaws.com"
+        );
+        assert_eq!(second_level_domain("s3.amazonaws.com"), "s3.amazonaws.com");
+        assert_eq!(second_level_domain(""), "");
+        assert_eq!(second_level_domain("."), "");
+        assert_eq!(second_level_domain("a..com"), ".com");
+        assert_eq!(second_level_domain(".com"), ".com");
     }
 
     #[test]
