@@ -3,17 +3,17 @@
 //! [`Study::run`] reproduces the paper's end-to-end pipeline:
 //!
 //! 1. generate the synthetic web (one universe, four crawl eras);
-//! 2. crawl each era with the instrumented browser on the **work-stealing
+//! 2. crawl each era with the instrumented browser on the **ordered-claim
 //!    pipelined orchestrator** ([`sockscope_crawler::crawl_orchestrated`]):
 //!    each worker owns a private stream-fused
 //!    [`FusedShard`](crate::fused::FusedShard) that the browser pushes CDP
 //!    events into as it emits them — payload bytes are classified and
 //!    dropped on the spot, no
 //!    [`SiteRecord`](sockscope_crawler::SiteRecord) is ever materialized,
-//!    and the per-site hot path takes no lock. Finished per-site
-//!    reductions flow through a bounded queue to a reduce stage that
-//!    folds them in ascending site order and normalizes, which makes the
-//!    result independent of worker count, steal order, and queue sizes;
+//!    and the per-site hot path takes no lock. A reduce stage folds the
+//!    finished per-site reductions in ascending site order and
+//!    normalizes, which makes the result independent of worker count and
+//!    of the in-flight cap;
 //! 3. pool the labeling observations and build the A&A domain set `D'`
 //!    (10% threshold + Cloudfront overrides, §3.2);
 //! 4. expose classified sockets and aggregates to the table/figure
@@ -49,9 +49,6 @@ pub struct StudyConfig {
     /// the perfectly reliable network and produces snapshots byte-identical
     /// to the pre-fault-injection pipeline.
     pub faults: Option<FaultProfile>,
-    /// Orchestrator result-queue capacity (backpressure depth);
-    /// scheduling-only, like `threads`.
-    pub queue_depth: usize,
     /// The crawl schedule. Defaults to the pinned four-crawl paper preset
     /// ([`EraTimeline::paper`]); longitudinal runs swap in
     /// [`EraTimeline::synthetic`] (e.g. via the CLI's `--eras N`).
@@ -68,7 +65,6 @@ impl Default for StudyConfig {
                 .unwrap_or(4),
             max_links: 15,
             faults: None,
-            queue_depth: 64,
             timeline: EraTimeline::paper(),
         }
     }
@@ -137,8 +133,8 @@ impl Study {
     /// Runs the full study on the sequential reference: each era is
     /// crawled by [`sockscope_crawler::crawl`] into full
     /// [`SiteRecord`](sockscope_crawler::SiteRecord)s, which are reduced
-    /// one by one. No threads, sinks or supervisor, so `threads` and
-    /// `queue_depth` are ignored and site hazards are never drawn.
+    /// one by one. No threads, sinks or supervisor, so `threads` is
+    /// ignored and site hazards are never drawn.
     /// Byte-identical to [`Study::run`] on hazard-free profiles; the
     /// identity suites diff the two.
     pub fn run_reference(config: &StudyConfig) -> Study {
@@ -154,12 +150,10 @@ impl Study {
     }
 
     /// Derives the orchestrator's concurrency config from a study config:
-    /// `threads` workers, and the in-flight cap on auto
-    /// (`workers + queue_depth`).
+    /// `threads` workers, and the in-flight cap on auto (`workers + 64`).
     pub fn orchestrator_config(config: &StudyConfig) -> sockscope_crawler::OrchestratorConfig {
         sockscope_crawler::OrchestratorConfig {
             workers: config.threads.max(1),
-            queue_depth: config.queue_depth,
             ..sockscope_crawler::OrchestratorConfig::default()
         }
     }

@@ -90,7 +90,7 @@ impl StageReport {
 /// Corpus sizes are recorded in the report, so a capped run is visible.
 const MAX_CORPUS: usize = 250_000;
 
-const SCHEMA: &str = "sockscope-bench-pipeline/7";
+const SCHEMA: &str = "sockscope-bench-pipeline/8";
 const DEFAULT_PATH: &str = "BENCH_pipeline.json";
 
 /// Allocation-regression gate (`perf --check`): the orchestrated fused
@@ -190,7 +190,7 @@ struct Supervision {
 struct Stages {
     universe: StageReport,
     filters: StageReport,
-    /// The production driver: the work-stealing pipelined orchestrator
+    /// The production driver: the ordered-claim pipelined orchestrator
     /// over the stream-fused crawl+classify+reduce pipeline.
     orchestrated_pipeline: StageReport,
     /// The reference pipeline's crawl: the sequential `crawl`, with full
@@ -207,8 +207,9 @@ struct Stages {
 struct OrchestratorReport {
     /// Crawl workers the orchestrated stage ran with.
     workers: usize,
-    /// Bounded hand-off queue capacity between crawl and reduce.
-    queue_depth: usize,
+    /// In-flight cap the orchestrated stage ran with: sites claimed but
+    /// not yet folded (schema /8).
+    in_flight: usize,
     /// Universe size of the headline run (0 = not run).
     headline_sites: usize,
     /// Wall seconds of the headline single-era orchestrated crawl.
@@ -388,7 +389,7 @@ fn run() {
     let lib = PiiLibrary::new();
 
     // Orchestrated pipeline first, while nothing but the universe and the
-    // engine is live: the work-stealing pipelined driver over the fused
+    // engine is live: the ordered-claim pipelined driver over the fused
     // crawl+classify+reduce sink. This is what `Study::run` executes.
     let orch = Study::orchestrator_config(&config);
     let mut orchestrated_pipeline = StageReport::default();
@@ -413,9 +414,9 @@ fn run() {
         orchestrated_reductions.push(reduction);
     }
     eprintln!(
-        "[sockscope] orchestrated pipeline ({} workers, queue {}): {:.1}s, peak {:.1} MiB",
+        "[sockscope] orchestrated pipeline ({} workers, in flight {}): {:.1}s, peak {:.1} MiB",
         orch.workers,
-        orch.queue_depth,
+        orch.effective_in_flight(),
         orchestrated_pipeline.seconds,
         orchestrated_pipeline.peak_bytes as f64 / (1024.0 * 1024.0)
     );
@@ -585,7 +586,7 @@ fn run() {
         },
         orchestrator: OrchestratorReport {
             workers: orch.workers,
-            queue_depth: orch.queue_depth,
+            in_flight: orch.effective_in_flight(),
             headline_sites: 0,
             headline_seconds: 0.0,
             headline_peak_bytes: 0,
@@ -947,8 +948,11 @@ fn headline(path: &str) {
     let config = sockscope_bench::study_config_from_env();
     let orch = Study::orchestrator_config(&config);
     eprintln!(
-        "[sockscope] headline: {} sites x 1 era, {} workers, queue {}, seed {:#x}",
-        config.n_sites, orch.workers, orch.queue_depth, config.seed
+        "[sockscope] headline: {} sites x 1 era, {} workers, in flight {}, seed {:#x}",
+        config.n_sites,
+        orch.workers,
+        orch.effective_in_flight(),
+        config.seed
     );
 
     let web = Study::universe(&config);
@@ -1088,8 +1092,8 @@ fn check(path: &str) {
         "orchestrator ran with no workers"
     );
     assert!(
-        report.orchestrator.queue_depth >= 1,
-        "orchestrator queue cannot be unbuffered"
+        report.orchestrator.in_flight >= report.orchestrator.workers,
+        "orchestrator in-flight cap below its worker count"
     );
     // Supervision section (schema /4). The overhead bound here is a loose
     // sanity band — CI machines are noisy; the < 1.20 acceptance bar

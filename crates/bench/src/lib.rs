@@ -9,7 +9,6 @@
 //! | `SOCKSCOPE_SITES` | 8000 | publisher universe size (paper: ~100K) |
 //! | `SOCKSCOPE_THREADS` | all cores | orchestrator crawl workers |
 //! | `SOCKSCOPE_SEED` | 0x50C25C0F | universe seed |
-//! | `SOCKSCOPE_QUEUE_DEPTH` | 64 | orchestrator hand-off queue capacity |
 //! | `SOCKSCOPE_ERAS` | unset | N-era synthetic timeline instead of the paper's 4 crawls |
 
 #![forbid(unsafe_code)]
@@ -34,11 +33,6 @@ pub fn study_config_from_env() -> StudyConfig {
     if let Ok(v) = std::env::var("SOCKSCOPE_SEED") {
         if let Ok(n) = u64::from_str_radix(v.trim_start_matches("0x"), 16) {
             config.seed = n;
-        }
-    }
-    if let Ok(v) = std::env::var("SOCKSCOPE_QUEUE_DEPTH") {
-        if let Ok(n) = v.parse::<usize>() {
-            config.queue_depth = n.max(1);
         }
     }
     // After --seed so the synthetic timeline derives from the final seed,

@@ -90,7 +90,7 @@ sockscope — reproduction of 'How Tracking Companies Circumvented Ad Blockers U
 
 USAGE:
   sockscope run       [--sites N] [--seed HEX] [--threads N] [--save FILE]
-                      [--queue-depth N] [--faults PROFILE] [--checkpoint-dir DIR] [--resume]
+                      [--faults PROFILE] [--checkpoint-dir DIR] [--resume]
                       [--max-quarantined N] [--eras N] [--lineage-dir DIR]
   sockscope report    [--from FILE | --sites N ...]
   sockscope table     <1|2|3|4|5> [--csv] [--from FILE | --sites N ...]
@@ -110,8 +110,6 @@ OPTIONS:
                   another spelling; if both are given they must agree
   --save FILE     write a reusable JSON snapshot of the crawl
   --from FILE     analyze a saved snapshot instead of re-crawling
-  --queue-depth N bounded hand-off queue capacity between the crawl and
-                  reduce stages (default 64); scheduling-only knob
   --faults PROF   inject seeded deterministic faults during the crawl:
                   none | mild | heavy | poison (default none). Transport
                   profiles (mild/heavy) degrade pages; poison injects
@@ -290,15 +288,6 @@ fn parse_knobs(args: &[String]) -> Result<Knobs, ParseError> {
                 }
                 threads = Some((flag, n));
                 config.threads = n;
-            }
-            "--queue-depth" => {
-                let n: usize = value()?
-                    .parse()
-                    .map_err(|_| ParseError("--queue-depth expects an integer".into()))?;
-                if n == 0 {
-                    return Err(ParseError("--queue-depth expects at least 1".into()));
-                }
-                config.queue_depth = n;
             }
             "--faults" => {
                 let v = value()?;
@@ -809,21 +798,9 @@ mod tests {
 
     #[test]
     fn parses_orchestrator_knobs() {
-        let cmd = parse(&args(&[
-            "run",
-            "--sites",
-            "40",
-            "--workers",
-            "3",
-            "--queue-depth",
-            "16",
-        ]))
-        .unwrap();
+        let cmd = parse(&args(&["run", "--sites", "40", "--workers", "3"])).unwrap();
         match cmd {
-            Command::Run { config, .. } => {
-                assert_eq!(config.threads, 3);
-                assert_eq!(config.queue_depth, 16);
-            }
+            Command::Run { config, .. } => assert_eq!(config.threads, 3),
             other => panic!("unexpected {other:?}"),
         }
         // --workers is another spelling of --threads: equal values agree,
@@ -838,13 +815,17 @@ mod tests {
         // Degenerate knob values are rejected up front.
         assert!(parse(&args(&["run", "--workers", "0"])).is_err());
         assert!(parse(&args(&["run", "--threads", "0"])).is_err());
-        assert!(parse(&args(&["run", "--queue-depth", "0"])).is_err());
         assert!(parse(&args(&["run", "--workers", "many"])).is_err());
     }
 
     #[test]
     fn removed_driver_flags_are_unknown() {
-        for flag in ["--streaming", "--orchestrated", "--static-shards"] {
+        for flag in [
+            "--streaming",
+            "--orchestrated",
+            "--static-shards",
+            "--queue-depth",
+        ] {
             assert_eq!(
                 parse(&args(&["run", flag])),
                 Err(ParseError(format!("unknown option {flag}"))),

@@ -17,10 +17,10 @@
 //! Two drivers are provided:
 //!
 //! * [`crawl_orchestrated`] / [`crawl_orchestrated_resumable`] — **the**
-//!   production driver ([`orchestrator`]): per-site work stealing, bounded
-//!   queues between the visit/classify and reduce stages, a global
-//!   in-flight cap, per-site supervision, and results folded in ascending
-//!   site order, so the merged output is independent of scheduling. Each
+//!   production driver ([`orchestrator`]): workers claim sites in
+//!   ascending order from one sequencer under a global in-flight cap,
+//!   each site runs supervised, and results fold in ascending site
+//!   order, so the merged output is independent of scheduling. Each
 //!   worker feeds a private [`SiteSink`] straight off the browser's event
 //!   stream ([`crawl_one_site_sink`]); no per-page event buffer or
 //!   [`SiteRecord`] exists on that path.

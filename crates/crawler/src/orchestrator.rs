@@ -1,4 +1,4 @@
-//! Work-stealing, pipelined crawl orchestrator: the crawler's one
+//! Ordered-claim pipelined crawl orchestrator: the crawler's one
 //! parallel driver.
 //!
 //! Binding whole shards to workers would leave a worker that draws a slow
@@ -6,43 +6,37 @@
 //! schedules *per site* instead, while keeping the merged output
 //! independent of scheduling:
 //!
-//! * **visit/classify** — each worker owns a deque of site positions
-//!   (dealt round-robin, ascending). It pops its own front, steals a
-//!   victim's back when empty, and runs the one shared per-site driver
-//!   ([`crawl_one_site_sink`], under [`supervise_site`] by default) into
-//!   its private [`SiteSink`] — so classification happens on the worker,
-//!   lock-free.
-//! * **reduce** — finished per-site results flow through one bounded MPMC
-//!   queue (backpressure: workers block when the reducer lags) to a
-//!   single reducer that re-sequences them by site position and folds
-//!   them **in ascending site order** into per-shard accumulators.
-//! * **in-flight cap** — an admission window `[base, base+cap)` over site
-//!   positions bounds how far any worker may run ahead of the fold
-//!   point, which caps the reducer's reorder buffer and hence peak
-//!   memory, independent of worker count.
+//! * **visit/classify** — each free worker claims the next site position
+//!   from one [`Sequencer`] (ascending, a shared counter) and runs the one
+//!   shared per-site driver ([`crawl_one_site_sink`], under
+//!   [`supervise_site`] by default) into its private [`SiteSink`] — so
+//!   classification happens on the worker, lock-free.
+//! * **reduce** — each finished per-site result goes into the
+//!   sequencer's slot for its position; a single reducer takes the slots
+//!   **in ascending site order** and folds them into per-shard
+//!   accumulators.
+//! * **in-flight cap** — a position may only start while it is less than
+//!   `cap` ahead of the fold point, which bounds the buffered results and
+//!   hence peak memory, independent of worker count and site cost.
 //!
 //! Determinism: per-site output depends only on `(universe, config, site)`
 //! — never on which worker crawls it — and the reducer folds sites in
 //! ascending order, which the `CrawlReduction` monoid (stable-sort
 //! normalized, per-site payloads contiguous) maps to the same bytes at
-//! every shard count. Steal order, queue depth, and worker count can only
-//! change *timing*, never the fold sequence. The liveness argument for the
-//! admission window lives in `DESIGN.md` §10.
-
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
+//! every shard count. Worker count and the in-flight cap can only change
+//! *timing*, never the fold sequence. Because claims are ascending, the
+//! lowest unfolded site is always held by an admitted worker, so the
+//! pipeline is live for any cap with no timer on the crawl path
+//! (`DESIGN.md` §10).
 
 use sockscope_browser::{Browser, BrowserConfig, ExtensionHost};
-use sockscope_exec::{Admission, AdmissionWindow, BoundedQueue, ChaosSchedule, StealDeques};
+use sockscope_exec::Sequencer;
 use sockscope_webgen::SyntheticWeb;
 
 use crate::{crawl_one_site_sink, supervise_site, CrawlConfig, SiteSink};
 
-/// How long a worker waits for the admission window before giving the
-/// claimed position back and claiming its locally-smallest one instead.
-/// Only adversarial (chaos-scheduled) claim orders ever hit this path.
-const ADMIT_PATIENCE: Duration = Duration::from_millis(2);
+/// Reorder slack the auto in-flight cap allows beyond one site per worker.
+const AUTO_IN_FLIGHT_SLACK: usize = 64;
 
 /// Concurrency surface of the orchestrator, separate from [`CrawlConfig`]
 /// because none of these knobs may influence crawl *output* — they are
@@ -51,15 +45,9 @@ const ADMIT_PATIENCE: Duration = Duration::from_millis(2);
 pub struct OrchestratorConfig {
     /// Crawl worker threads (the visit/classify stage). Clamped to ≥ 1.
     pub workers: usize,
-    /// Capacity of the worker→reducer result queue. Small values trade
-    /// throughput for tighter backpressure; clamped to ≥ 1.
-    pub queue_depth: usize,
-    /// Global cap on sites past admission but not yet folded (the reorder
-    /// bound). `0` means auto: `workers + queue_depth`.
+    /// Global cap on sites claimed but not yet folded: the bound on
+    /// buffered results. `0` means auto: `workers + 64`.
     pub in_flight: usize,
-    /// Install the seeded scheduling adversary: perturb claim order and
-    /// inject yields. Test-only; `None` in production.
-    pub chaos_seed: Option<u64>,
     /// Run every site under the supervisor ([`supervise_site`]): panic
     /// isolation, visit-step deadline, allocation budget, deterministic
     /// quarantine. On by default — a fault-free supervised run is
@@ -74,24 +62,34 @@ impl Default for OrchestratorConfig {
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            queue_depth: 64,
             in_flight: 0,
-            chaos_seed: None,
             supervised: true,
         }
     }
 }
 
 impl OrchestratorConfig {
-    /// The effective in-flight cap: the explicit value, floored at the
-    /// worker count (a smaller cap would only idle workers), or
-    /// `workers + queue_depth` when auto.
+    /// The effective in-flight cap: the explicit value (at least 1; a cap
+    /// below the worker count idles workers but stays live), or
+    /// `workers + 64` when auto.
     pub fn effective_in_flight(&self) -> usize {
-        let workers = self.workers.max(1);
         if self.in_flight == 0 {
-            workers + self.queue_depth.max(1)
+            self.workers.max(1) + AUTO_IN_FLIGHT_SLACK
         } else {
             self.in_flight.max(1)
+        }
+    }
+}
+
+/// Closes the sequencer if its thread unwinds, so a panicking worker or
+/// reducer cannot leave the others waiting on a position nobody will
+/// fill; the scope then re-raises the panic on the caller.
+struct CloseOnUnwind<'a, R>(&'a Sequencer<R>);
+
+impl<R> Drop for CloseOnUnwind<'_, R> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.close();
         }
     }
 }
@@ -140,19 +138,21 @@ where
 /// Shard `s` owns sites `i % shard_count == s`; `skip(s)` elides shards
 /// recovered from a journal (their slot returns `None`), and
 /// `persist(s, &acc)` fires the moment shard `s`'s last site folds. Sites
-/// are crawled by whichever worker steals them, and `persist` runs on the
-/// reducer thread, off the visit hot path.
+/// are crawled by whichever worker claims them next, and `persist` runs
+/// on the reducer thread, off the visit hot path.
 ///
 /// Per worker, `make_worker()` builds the stage-private [`SiteSink`]
 /// (classification state); after each site, `take_site` extracts that
-/// site's finished result `R`, which travels through the bounded queue to
-/// the reducer and is folded with `fold` in ascending site order.
+/// site's finished result `R`, which the reducer folds with `fold` in
+/// ascending site order.
 ///
-/// `abort()` is polled at claim and admission boundaries: once it returns
-/// true (e.g. a simulated crash marked the run dead), workers wind down
-/// without crawling further sites and the partially folded accumulators
-/// are returned as-is — the checkpoint journal, not the return value, is
-/// the source of truth on that path.
+/// `abort()` is polled by each worker before it claims a site and by the
+/// reducer after each fold: once it returns true (e.g. a simulated crash
+/// marked the run dead), the sequencer closes, workers stop without
+/// crawling further sites and the partially folded accumulators are
+/// returned as-is — the checkpoint journal, not the return value, is the
+/// source of truth on that path. A panic on any thread closes the
+/// sequencer too, and propagates to the caller.
 #[allow(clippy::too_many_arguments)]
 pub fn crawl_orchestrated_resumable<C, R, A>(
     web: &SyntheticWeb,
@@ -175,25 +175,18 @@ where
 {
     let n = web.sites().len();
     let shard_count = shard_count.max(1);
-    let workers = orch.workers.max(1);
 
     // The work list: every site of a shard that was not recovered, in
-    // ascending order. Position in this list — not raw site id — is the
-    // sequencing currency of the window, the deques, and the reducer.
+    // ascending order. Position in this list — not raw site id — is what
+    // the sequencer hands out and the reducer folds by.
     let todo: Vec<usize> = (0..n).filter(|i| !skip(i % shard_count)).collect();
-    let total = todo.len();
-
-    let queue: BoundedQueue<(usize, R)> = BoundedQueue::new(orch.queue_depth);
-    let window = AdmissionWindow::new(orch.effective_in_flight());
-    let deques = StealDeques::deal(workers, total);
-    let chaos = orch.chaos_seed.map(ChaosSchedule::new);
-    let producers = AtomicUsize::new(workers);
+    let seq: Sequencer<R> = Sequencer::new(todo.len(), orch.effective_in_flight());
 
     std::thread::scope(|scope| {
-        for w in 0..workers {
-            let (todo, queue, window, deques, producers) =
-                (&todo, &queue, &window, &deques, &producers);
+        for _ in 0..orch.workers.max(1) {
+            let (todo, seq) = (&todo, &seq);
             scope.spawn(move || {
+                let _unwind = CloseOnUnwind(seq);
                 let extensions = make_extensions();
                 let browser_config = BrowserConfig {
                     seed: config.seed ^ web.config().seed,
@@ -201,33 +194,14 @@ where
                 };
                 let browser = Browser::new(web, extensions, browser_config);
                 let mut sink = make_worker();
-                let mut step = 0u64;
                 loop {
                     if abort() {
+                        seq.close();
                         break;
                     }
-                    let steal_first = chaos.as_ref().is_some_and(|c| c.steal_first(w, step));
-                    let Some(pos) = deques.next(w, steal_first) else {
+                    let Some(pos) = seq.claim() else {
                         break;
                     };
-                    if let Some(c) = &chaos {
-                        for _ in 0..c.yields(w, step) {
-                            std::thread::yield_now();
-                        }
-                    }
-                    step += 1;
-                    match window.admit(pos, ADMIT_PATIENCE, &|| abort()) {
-                        Admission::Admitted => {}
-                        Admission::Retry => {
-                            // Outside the window: give the position back
-                            // (sorted) and claim our local minimum instead —
-                            // the unclaim/retry dance that makes the window
-                            // deadlock-free under adversarial steal orders.
-                            deques.unclaim(w, pos);
-                            continue;
-                        }
-                        Admission::Aborted => break,
-                    }
                     if orch.supervised {
                         // A quarantined site leaves nothing in the sink;
                         // the sink's own accounting (site_quarantined)
@@ -240,23 +214,16 @@ where
                     } else {
                         crawl_one_site_sink(web, config, &browser, todo[pos], &mut sink);
                     }
-                    let site = take_site(&mut sink);
-                    if queue.push((pos, site)).is_err() {
-                        break;
-                    }
-                }
-                // Last producer out closes the queue so the reducer's
-                // drain loop terminates.
-                if producers.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    queue.close();
+                    seq.put(pos, take_site(&mut sink));
                 }
             });
         }
 
-        // Reduce stage, on the calling thread: re-sequence by position,
-        // fold in ascending site order, persist each shard the moment its
-        // last site lands. Shard completion order is therefore itself
-        // deterministic — a shard finishes when its highest position folds.
+        // Reduce stage, on the calling thread: fold in ascending site
+        // order, persist each shard the moment its last site lands. Shard
+        // completion order is therefore itself deterministic — a shard
+        // finishes when its highest position folds.
+        let _unwind = CloseOnUnwind(&seq);
         let mut accs: Vec<Option<A>> = (0..shard_count)
             .map(|s| (!skip(s)).then(|| make_shard(s)))
             .collect();
@@ -274,27 +241,20 @@ where
                 }
             }
         }
-        let mut pending: BTreeMap<usize, R> = BTreeMap::new();
-        let mut next_pos = 0usize;
-        while next_pos < total {
-            let Some((pos, site)) = queue.pop() else {
-                break; // aborted: producers closed the queue early
-            };
-            pending.insert(pos, site);
-            while let Some(site) = pending.remove(&next_pos) {
-                let shard = todo[next_pos] % shard_count;
-                let acc = accs[shard].as_mut().expect("unskipped shard has an acc");
-                fold(acc, site);
-                next_pos += 1;
-                window.advance_to(next_pos);
-                remaining[shard] -= 1;
-                if remaining[shard] == 0 {
-                    persist(shard, accs[shard].as_ref().expect("shard just folded"));
-                }
+        while let Some((pos, site)) = seq.take() {
+            let shard = todo[pos] % shard_count;
+            let acc = accs[shard].as_mut().expect("unskipped shard has an acc");
+            fold(acc, site);
+            remaining[shard] -= 1;
+            if remaining[shard] == 0 {
+                persist(shard, acc);
+            }
+            if abort() {
+                break;
             }
         }
-        // Unblock producers still parked in push() if we bailed early.
-        queue.close();
+        // Wakes workers still parked on the window if we stopped early.
+        seq.close();
         accs
     })
 }
@@ -305,6 +265,9 @@ mod tests {
     use crate::{browser_era, crawl, RecordSink, SiteRecord};
     use sockscope_faults::FaultProfile;
     use sockscope_webgen::{SyntheticWeb, WebGenConfig};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::thread::Result as ThreadResult;
+    use std::time::Duration;
 
     fn web(n: usize) -> SyntheticWeb {
         SyntheticWeb::new(WebGenConfig {
@@ -313,10 +276,19 @@ mod tests {
         })
     }
 
-    fn orchestrate(
+    fn orch(workers: usize, in_flight: usize) -> OrchestratorConfig {
+        OrchestratorConfig {
+            workers,
+            in_flight,
+            ..OrchestratorConfig::default()
+        }
+    }
+
+    fn orchestrate_with(
         web: &SyntheticWeb,
         config: &CrawlConfig,
         orch: &OrchestratorConfig,
+        take_site: &(dyn Fn(&mut RecordSink) -> SiteRecord + Sync),
     ) -> Vec<SiteRecord> {
         crawl_orchestrated(
             web,
@@ -324,10 +296,34 @@ mod tests {
             orch,
             &|| ExtensionHost::stock(browser_era(&web.config().era)),
             &RecordSink::default,
-            &|sink: &mut RecordSink| sink.take_record().expect("one record per site"),
+            take_site,
             &Vec::new,
             &|acc: &mut Vec<SiteRecord>, record| acc.push(record),
         )
+    }
+
+    fn orchestrate(
+        web: &SyntheticWeb,
+        config: &CrawlConfig,
+        orch: &OrchestratorConfig,
+    ) -> Vec<SiteRecord> {
+        orchestrate_with(web, config, orch, &|sink: &mut RecordSink| {
+            sink.take_record().expect("one record per site")
+        })
+    }
+
+    /// Runs `f` on a helper thread and fails the test if it has not
+    /// finished within a minute: a deadlocked crawl fails instead of
+    /// hanging the suite.
+    fn within_a_minute<T: Send + 'static>(
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> ThreadResult<T> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            tx.send(std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)))
+        });
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("orchestrated crawl hung")
     }
 
     fn assert_matches_reference(records: &[SiteRecord], web: &SyntheticWeb, config: &CrawlConfig) {
@@ -349,40 +345,33 @@ mod tests {
                 faults,
                 ..CrawlConfig::default()
             };
-            for (workers, queue_depth) in [(1, 1), (3, 2), (8, 64)] {
-                let orch = OrchestratorConfig {
-                    workers,
-                    queue_depth,
-                    ..OrchestratorConfig::default()
-                };
-                let records = orchestrate(&web, &config, &orch);
+            for (workers, in_flight) in [(1, 1), (3, 2), (8, 0)] {
+                let records = orchestrate(&web, &config, &orch(workers, in_flight));
                 assert_matches_reference(&records, &web, &config);
             }
         }
     }
 
     #[test]
-    fn chaos_schedules_cannot_change_the_fold_sequence() {
+    fn tight_windows_cannot_change_the_fold_sequence() {
+        // Heavy faults make per-site cost wildly uneven, and a window no
+        // wider than two sites keeps most workers parked on it: the
+        // schedules where a reorder bug would surface.
         let web = web(24);
         let config = CrawlConfig {
             faults: Some(FaultProfile::heavy()),
             ..CrawlConfig::default()
         };
         let calm = orchestrate(&web, &config, &OrchestratorConfig::default());
-        for chaos_seed in [1u64, 0xBAD_5EED, u64::MAX] {
-            let orch = OrchestratorConfig {
-                workers: 4,
-                queue_depth: 1,
-                in_flight: 2,
-                chaos_seed: Some(chaos_seed),
-                supervised: true,
-            };
-            let stormy = orchestrate(&web, &config, &orch);
-            assert_eq!(calm.len(), stormy.len());
-            for (a, b) in calm.iter().zip(&stormy) {
-                assert_eq!(a.site_id, b.site_id);
-                assert_eq!(a.trees, b.trees);
-                assert_eq!(a.faults, b.faults);
+        for in_flight in [1, 2] {
+            for workers in [4, 8] {
+                let tight = orchestrate(&web, &config, &orch(workers, in_flight));
+                assert_eq!(calm.len(), tight.len());
+                for (a, b) in calm.iter().zip(&tight) {
+                    assert_eq!(a.site_id, b.site_id);
+                    assert_eq!(a.trees, b.trees);
+                    assert_eq!(a.faults, b.faults);
+                }
             }
         }
     }
@@ -410,38 +399,52 @@ mod tests {
 
     #[test]
     fn all_workers_stalling_on_a_tight_window_stays_live() {
-        // Liveness regression for the admission window's unclaim/timeout
-        // path: many workers, an in-flight cap of 1, and a chaos schedule
-        // that steals aggressively put *every* worker outside the window
-        // at once. The unclaim/retry dance must still drain the crawl.
-        let web = web(18);
-        let config = CrawlConfig::default();
-        let orch = OrchestratorConfig {
-            workers: 8,
-            queue_depth: 1,
-            in_flight: 1,
-            chaos_seed: Some(0xA11_57A11),
-            supervised: true,
-        };
-        let records = orchestrate(&web, &config, &orch);
-        assert_matches_reference(&records, &web, &config);
+        // Eight workers on an in-flight cap of 1: seven are parked on the
+        // window at every instant, and only ascending claims guarantee
+        // the one holding the fold point is never among them.
+        let records = within_a_minute(|| {
+            let web = web(18);
+            let records = orchestrate(&web, &CrawlConfig::default(), &orch(8, 1));
+            (web, records)
+        });
+        let (web, records) = records.expect("crawl completed");
+        assert_matches_reference(&records, &web, &CrawlConfig::default());
+    }
+
+    #[test]
+    fn a_worker_panic_propagates_instead_of_hanging() {
+        // A panic outside the supervisor (here in `take_site`, on its 4th
+        // call) must close the sequencer, so the reducer and the other
+        // worker stop and the scope re-raises the panic on the caller.
+        let outcome = within_a_minute(|| {
+            let web = web(40);
+            let calls = AtomicUsize::new(0);
+            orchestrate_with(
+                &web,
+                &CrawlConfig::default(),
+                &orch(2, 0),
+                &|sink: &mut RecordSink| {
+                    if calls.fetch_add(1, Ordering::Relaxed) == 3 {
+                        panic!("take_site failed");
+                    }
+                    sink.take_record().expect("one record per site")
+                },
+            )
+            .len()
+        });
+        assert!(outcome.is_err(), "the worker panic must reach the caller");
     }
 
     #[test]
     fn resumable_skips_recovered_shards_and_persists_complete_ones() {
         let web = web(22);
         let config = CrawlConfig::default();
-        let orch = OrchestratorConfig {
-            workers: 3,
-            queue_depth: 4,
-            ..OrchestratorConfig::default()
-        };
         let persisted = std::sync::Mutex::new(Vec::new());
         let shard_count = 5usize;
         let out = crawl_orchestrated_resumable(
             &web,
             &config,
-            &orch,
+            &orch(3, 4),
             shard_count,
             &|| ExtensionHost::stock(browser_era(&web.config().era)),
             &RecordSink::default,
@@ -478,17 +481,11 @@ mod tests {
     fn abort_stops_the_crawl_without_hanging() {
         let web = web(40);
         let config = CrawlConfig::default();
-        let orch = OrchestratorConfig {
-            workers: 3,
-            queue_depth: 1,
-            in_flight: 2,
-            ..OrchestratorConfig::default()
-        };
         let folded = AtomicUsize::new(0);
         let out = crawl_orchestrated_resumable(
             &web,
             &config,
-            &orch,
+            &orch(3, 2),
             2,
             &|| ExtensionHost::stock(browser_era(&web.config().era)),
             &RecordSink::default,

@@ -1,37 +1,25 @@
-//! Execution primitives for the pipelined crawl orchestrator.
+//! Execution primitives for the crawl orchestrator.
 //!
-//! This crate is deliberately tiny and dependency-free: it holds the four
-//! concurrency building blocks the orchestrator in `sockscope-crawler`
-//! composes, plus the counting allocator the bench harness and the
-//! bounded-memory regression tests share.
+//! This crate is deliberately tiny and dependency-free. It holds two
+//! things:
 //!
-//! * [`BoundedQueue`] — a blocking MPMC channel with a hard capacity.
-//!   Producers park when the queue is full (backpressure), consumers park
-//!   when it is empty, and `close()` wakes everyone for shutdown.
-//! * [`AdmissionWindow`] — the global in-flight cap. Work items carry an
-//!   ascending position; a worker may only *start* position `p` while
-//!   `p < base + cap`, and the reducer advances `base` as it folds results
-//!   in order. This bounds the reorder buffer, not just the queue.
-//! * [`StealDeques`] — per-worker deques of positions dealt round-robin in
-//!   ascending order. Owners pop their front (their local minimum), thieves
-//!   take a victim's back (the victim's maximum), so every deque stays
-//!   sorted and the global minimum is always at some deque's front.
-//! * [`ChaosSchedule`] — a pure-hash adversary that perturbs claim order
-//!   and injects yields from a seed, used by the determinism stress tests.
+//! * [`Sequencer`] — the orchestrator's one scheduling primitive. Workers
+//!   claim ascending positions from a shared counter, may only start a
+//!   position inside the window `[base, base + cap)`, and park its result
+//!   in a slot; the single consumer takes results in position order and
+//!   advances `base`. One mutex and two condvars give the in-flight cap,
+//!   the reorder buffer and timeout-free liveness.
+//! * [`memmeter`] — the counting allocator the bench harness, the
+//!   supervisor's allocation budget and the bounded-memory regression
+//!   tests share.
 //!
-//! None of these primitives know anything about crawling; the determinism
-//! argument lives in `DESIGN.md` §10 next to the orchestrator that wires
-//! them together.
+//! Neither knows anything about crawling; the determinism and liveness
+//! argument lives in `DESIGN.md` §10 next to the orchestrator that uses
+//! the sequencer.
 
 #![deny(unsafe_code)]
 
-pub mod chaos;
 pub mod memmeter;
-pub mod queue;
-pub mod steal;
-pub mod window;
+pub mod sequencer;
 
-pub use chaos::ChaosSchedule;
-pub use queue::{BoundedQueue, QueueClosed};
-pub use steal::StealDeques;
-pub use window::{Admission, AdmissionWindow};
+pub use sequencer::Sequencer;

@@ -216,21 +216,18 @@ fn orchestrator_kill_points_resume_byte_identical() {
     // Under the orchestrator a shard persists the moment the reducer folds
     // that shard's last site, so which shard the kill plan dooms selects
     // *when* in the pipeline's life the process dies: the first-persisted
-    // shard dies while workers are still crawling (and stealing) later
-    // positions; a middle shard dies with the hand-off queue churning; the
-    // last-persisted shard dies after the queue has drained. A depth-1
-    // queue and a tiny admission window keep backpressure and unclaim
-    // retries live at the kill instant.
+    // shard dies while workers are still crawling later positions, the
+    // last-persisted one after every site has folded.
     let baseline = snapshot_json(&Study::run(&config(2)));
     let shards = 3usize;
-    let cfg = StudyConfig {
-        queue_depth: 1,
-        ..config(4)
-    };
+    let cfg = config(4);
     // With sites dealt `i % shards`, shard `s` finishes at position
-    // `33 + s`: shard 0 persists first (mid-steal), shard 2 last
-    // (queue drained).
-    for (phase, doomed) in [("mid-steal", 0u32), ("mid-merge", 1), ("queue-drained", 2)] {
+    // `33 + s`: shard 0 persists first, shard 2 last.
+    for (phase, doomed) in [
+        ("first-shard-persisted", 0u32),
+        ("middle-shard-persisted", 1),
+        ("last-shard-persisted", 2),
+    ] {
         let dir = tmpdir(&format!("orch-{phase}"));
         let kill = KillPlan {
             era: 1,
@@ -266,7 +263,6 @@ fn kill_mid_quarantine_persist_neither_loses_nor_duplicates_entries() {
     // report and the snapshot.
     let cfg = StudyConfig {
         faults: Some(FaultProfile::poison()),
-        queue_depth: 1,
         ..config(4)
     };
     let baseline_study = Study::run(&cfg);

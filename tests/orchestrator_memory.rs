@@ -5,10 +5,10 @@
 //! *retained* (the accumulated [`CrawlReduction`]) necessarily grows with
 //! the site count, but the orchestrator's *transient* headroom — peak live
 //! bytes beyond what the stage retains — is bounded by the scheduling
-//! state (workers × browser + queue depth × one site reduction + the
-//! admission window), none of which scales with the universe. A leak of
-//! per-site state into the queue, the reorder buffer, or the worker sinks
-//! shows up here as headroom growing with the site count.
+//! state (workers × browser + the in-flight cap × one site reduction),
+//! none of which scales with the universe. A leak of per-site state into
+//! the sequencer's slots or the worker sinks shows up here as headroom
+//! growing with the site count.
 //!
 //! Scales stay small so the tier-1 debug run remains fast; set
 //! `SOCKSCOPE_MEM_SCALE=8` (or higher) to stress paper-flavored sizes.
@@ -37,7 +37,7 @@ fn metered_crawl(n_sites: usize) -> (u64, u64) {
     let era_web = web.for_era(era);
     let orch = OrchestratorConfig {
         workers: 4,
-        queue_depth: 8,
+        in_flight: 12,
         ..OrchestratorConfig::default()
     };
 
@@ -88,7 +88,7 @@ fn transient_headroom_stays_bounded_as_sites_scale() {
     // The bounded-memory claim. A 4x universe is allowed modest headroom
     // growth (allocator rounding, hash-map resizing, larger per-site
     // payloads at the tail), but nothing near the 4x a per-site leak
-    // into queue/window/sink state would produce.
+    // into sequencer-slot or sink state would produce.
     assert!(
         large_headroom <= small_headroom.saturating_mul(2).max(8 << 20),
         "transient headroom scaled with the site count: \

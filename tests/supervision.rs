@@ -2,8 +2,8 @@
 //!
 //! The tentpole invariant: a seeded run where ~20% of sites are poisoned
 //! with mixed `PanicAt`/`HangAt`/`AllocBomb` hazards **completes** on
-//! every worker count × queue depth × steal schedule of the identity
-//! matrix, produces the *identical* quarantine set on every cell, and
+//! every worker count of the identity matrix and under the tightest
+//! in-flight caps, produces the *identical* quarantine set on every cell, and
 //! leaves the non-quarantined remainder byte-for-byte what those sites
 //! contribute to the fault-free run — the run `orchestrator_identity.rs`
 //! pins to crc `0x57EC_C8D3`. Hazard profiles carry no transport faults,
@@ -53,7 +53,6 @@ fn quarantined_ids(study: &Study) -> Vec<BTreeSet<usize>> {
 fn poisoned_matrix_yields_one_quarantine_set_and_one_snapshot() {
     let baseline_study = Study::run(&StudyConfig {
         threads: 1,
-        queue_depth: 1,
         ..poisoned_config()
     });
     let baseline = StudySnapshot::capture(&baseline_study).to_json();
@@ -71,37 +70,30 @@ fn poisoned_matrix_yields_one_quarantine_set_and_one_snapshot() {
         assert!(!ids.is_empty(), "era {era} drew no poisoned site");
     }
 
-    for workers in [1usize, 4, 8] {
-        for queue_depth in [1usize, 16, 256] {
-            if (workers, queue_depth) == (1, 1) {
-                continue;
-            }
-            let study = Study::run(&StudyConfig {
-                threads: workers,
-                queue_depth,
-                ..poisoned_config()
-            });
-            assert_eq!(
-                quarantined_ids(&study),
-                baseline_quarantine,
-                "quarantine set moved at {workers} workers, queue {queue_depth}"
-            );
-            assert_eq!(
-                StudySnapshot::capture(&study).to_json(),
-                baseline,
-                "poisoned snapshot drifted at {workers} workers, queue {queue_depth}"
-            );
-        }
+    for workers in [4usize, 8] {
+        let study = Study::run(&StudyConfig {
+            threads: workers,
+            ..poisoned_config()
+        });
+        assert_eq!(
+            quarantined_ids(&study),
+            baseline_quarantine,
+            "quarantine set moved at {workers} workers"
+        );
+        assert_eq!(
+            StudySnapshot::capture(&study).to_json(),
+            baseline,
+            "poisoned snapshot drifted at {workers} workers"
+        );
     }
 }
 
 #[test]
-fn adversarial_steal_schedules_cannot_move_a_quarantine_entry() {
-    // Era-level: a depth-1 queue, the tightest admission window, and
-    // seeded chaos schedules maximize steals, unclaim churn, and
-    // backpressure stalls *while* one site in five is dying under the
-    // supervisor. Quarantine decisions are per-site pure draws, so no
-    // schedule may move one.
+fn tight_admission_windows_cannot_move_a_quarantine_entry() {
+    // Era-level: in-flight caps of one and two sites keep most of 4 or 8
+    // workers parked on the admission window *while* one site in five is
+    // dying under the supervisor. Quarantine decisions are per-site pure
+    // draws, so no schedule may move one.
     let config = poisoned_config();
     let web = Study::universe(&config);
     let engine = Study::engine_for(&web);
@@ -127,9 +119,7 @@ fn adversarial_steal_schedules_cannot_move_a_quarantine_entry() {
 
     let reference = run(&OrchestratorConfig {
         workers: 1,
-        queue_depth: 1,
         in_flight: 1,
-        chaos_seed: None,
         supervised: true,
     });
     assert!(
@@ -137,17 +127,15 @@ fn adversarial_steal_schedules_cannot_move_a_quarantine_entry() {
         "the poisoned era must quarantine at least one site"
     );
 
-    for chaos_seed in [1u64, 0xBAD_5EED, u64::MAX] {
+    for (in_flight, workers) in [(1, 4), (1, 8), (2, 4), (2, 8)] {
         let reduction = run(&OrchestratorConfig {
-            workers: 4,
-            queue_depth: 1,
-            in_flight: 2,
-            chaos_seed: Some(chaos_seed),
+            workers,
+            in_flight,
             supervised: true,
         });
         assert_eq!(
             reduction, reference,
-            "chaos seed {chaos_seed:#x} changed the supervised reduction"
+            "in-flight cap {in_flight} at {workers} workers changed the supervised reduction"
         );
     }
 }
@@ -168,9 +156,7 @@ fn non_quarantined_remainder_matches_the_fault_free_bytes() {
 
     let orch = OrchestratorConfig {
         workers: 4,
-        queue_depth: 4,
         in_flight: 0,
-        chaos_seed: None,
         supervised: true,
     };
     let mut poisoned = sockscope_crawler::crawl_orchestrated(
