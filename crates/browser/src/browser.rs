@@ -716,20 +716,17 @@ impl<'ar> VisitState<'_, '_, '_, 'ar> {
             return;
         }
         self.ws_seed = self.ws_seed.wrapping_add(0x9E3779B97F4A7C15);
-        let cookie = self.jar.header_for(parsed.host_str());
-        let decision = match &self.fault_ctx {
+        let (decision, stall_ticks, stall_timeout) = match &self.fault_ctx {
             Some(fc) => {
                 self.ws_ordinal += 1;
                 let conn_id = fnv1a(url) ^ self.ws_ordinal.wrapping_mul(0x9E3779B97F4A7C15);
-                fc.plan_for(conn_id).decide(&fc.profile, fc.attempt)
+                let decision = fc.plan_for(conn_id).decide(&fc.profile, fc.attempt);
+                (decision, fc.profile.stall_ticks, fc.profile.stall_timeout)
             }
-            None => FaultDecision::None,
+            None => (FaultDecision::None, 0, 0),
         };
-        if decision.is_fault() {
-            self.open_websocket_faulted(url, &parsed, exchanges, initiator, frame, decision);
-            return;
-        }
-        let session = match network::run_session(
+        let cookie = self.jar.header_for(parsed.host_str());
+        let outcome = network::run_session(
             &parsed,
             &origin_of(&self.page_url),
             &self.browser.config.user_agent,
@@ -737,80 +734,17 @@ impl<'ar> VisitState<'_, '_, '_, 'ar> {
             exchanges,
             &self.ctx,
             self.ws_seed,
-        ) {
-            Ok(s) => s,
-            Err(_) => return,
-        };
-
-        let rid = self.next_request_id();
-        self.sink.on_event(CdpEvent::WebSocketCreated {
-            request_id: rid,
-            url: Cow::Borrowed(url),
-            initiator,
-            frame_id: frame,
-        });
-        self.sink
-            .on_event(CdpEvent::WebSocketWillSendHandshakeRequest {
-                request_id: rid,
-                request: Cow::Borrowed(&session.handshake_request),
-            });
-        self.sink
-            .on_event(CdpEvent::WebSocketHandshakeResponseReceived {
-                request_id: rid,
-                status: session.status,
-                response: Cow::Borrowed(&session.handshake_response),
-            });
-        for frame_rec in &session.frames {
-            let payload = FramePayload::from_bytes(frame_rec.text, &frame_rec.payload);
-            let ev = match frame_rec.direction {
-                Direction::Sent => CdpEvent::WebSocketFrameSent {
-                    request_id: rid,
-                    payload,
-                },
-                Direction::Received => CdpEvent::WebSocketFrameReceived {
-                    request_id: rid,
-                    payload,
-                },
-            };
-            self.sink.on_event(ev);
-        }
-        self.sink
-            .on_event(CdpEvent::WebSocketClosed { request_id: rid });
-    }
-
-    /// Runs a WebSocket session under an injected fault and records however
-    /// far it got as CDP events, ending with `webSocketFrameError`.
-    fn open_websocket_faulted(
-        &mut self,
-        url: &str,
-        parsed: &Url,
-        exchanges: &[sockscope_webmodel::WsExchange],
-        initiator: Initiator,
-        frame: FrameId,
-        decision: FaultDecision,
-    ) {
-        let fc = self
-            .fault_ctx
-            .clone()
-            .expect("faulted path requires a fault context");
-        let cookie = self.jar.header_for(parsed.host_str());
-        let outcome = network::run_session_with_faults(
-            parsed,
-            &origin_of(&self.page_url),
-            &self.browser.config.user_agent,
-            cookie.as_deref(),
-            exchanges,
-            &self.ctx,
-            self.ws_seed,
             decision,
-            fc.profile.stall_ticks,
-            fc.profile.stall_timeout,
+            stall_ticks,
+            stall_timeout,
         );
         self.fault_log.ticks += outcome.ticks;
         if let Some(kind) = decision.kind() {
             self.fault_log.faults.push((url.to_string(), kind));
         }
 
+        // However far the session got becomes CDP events; an injected
+        // failure ends the socket with `webSocketFrameError`.
         let rid = self.next_request_id();
         self.sink.on_event(CdpEvent::WebSocketCreated {
             request_id: rid,

@@ -7,6 +7,10 @@
 //! into CDP events is recovered from the *decoded* frames, so any framing
 //! bug would corrupt the study's data — and is caught by the roundtrip
 //! tests instead.
+//!
+//! There is one session runner, [`run_session`]. A fault-free socket is a
+//! faulted socket whose decision is [`FaultDecision::None`]: the same
+//! handshake, data phase and close, with no byte sabotaged.
 
 use sockscope_faults::FaultDecision;
 use sockscope_urlkit::Url;
@@ -36,113 +40,18 @@ pub struct TranscriptFrame {
     pub payload: Vec<u8>,
 }
 
-/// A completed WebSocket session.
-#[derive(Debug, Clone)]
-pub struct WsSession {
-    /// Raw handshake request bytes.
-    pub handshake_request: Vec<u8>,
-    /// Raw handshake response bytes.
-    pub handshake_response: Vec<u8>,
-    /// Upgrade status (101).
-    pub status: u16,
-    /// Data frames in wire order.
-    pub frames: Vec<TranscriptFrame>,
-}
-
 /// Session-level failures: the unified `wsproto` error covers handshake
 /// failures, framing violations, and the transport-level outcomes the fault
 /// injector produces (refused connects, drops, timeouts).
 pub type SessionError = WsError;
 
-/// Runs a complete scripted session against an in-memory server.
+/// How far a session got before (or whether) it failed.
 ///
-/// `seed` drives the client nonce and mask keys, keeping the whole byte
-/// stream reproducible.
-#[allow(clippy::too_many_arguments)]
-pub fn run_session(
-    url: &Url,
-    page_origin: &str,
-    user_agent: &str,
-    cookie: Option<&str>,
-    exchanges: &[WsExchange],
-    ctx: &ValueContext,
-    seed: u64,
-) -> Result<WsSession, SessionError> {
-    // ---- Opening handshake, for real. ----
-    let mut hs = ClientHandshake::new(url.host_str(), url.path(), seed)
-        .origin(page_origin)
-        .user_agent(user_agent);
-    if let Some(c) = cookie {
-        hs = hs.cookies(c);
-    }
-    let request = hs.request_bytes();
-    let server_hs = ServerHandshake::accept_request(&request).map_err(SessionError::Handshake)?;
-    let response = server_hs.response_bytes(None);
-    hs.validate_response(&response)
-        .map_err(SessionError::Handshake)?;
-
-    // ---- Data phase through the codec. ----
-    let mut client = Connection::new(Role::Client, seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
-    let mut server = Connection::new(Role::Server, seed.rotate_left(17) | 1);
-    let mut frames: Vec<TranscriptFrame> = Vec::new();
-    let host = url.host_str();
-
-    for exchange in exchanges {
-        // Client sends its items (if any).
-        if !exchange.send.is_empty() {
-            match ctx.render_sent(&exchange.send) {
-                Payload::Text(t) => client.send_text(&t).map_err(SessionError::Protocol)?,
-                Payload::Binary(b) => client.send_binary(&b).map_err(SessionError::Protocol)?,
-            }
-        }
-        let (_, server_events) = pump(&mut client, &mut server).map_err(SessionError::Protocol)?;
-        for ev in server_events {
-            if let Event::Message(msg) = ev {
-                frames.push(TranscriptFrame {
-                    direction: Direction::Sent,
-                    text: matches!(msg, Message::Text(_)),
-                    payload: msg.as_bytes().to_vec(),
-                });
-            }
-        }
-        // Server responds (if scripted).
-        if !exchange.receive.is_empty() {
-            match ctx.render_received(&exchange.receive, host) {
-                Payload::Text(t) => server.send_text(&t).map_err(SessionError::Protocol)?,
-                Payload::Binary(b) => server.send_binary(&b).map_err(SessionError::Protocol)?,
-            }
-            let (client_events, _) =
-                pump(&mut client, &mut server).map_err(SessionError::Protocol)?;
-            for ev in client_events {
-                if let Event::Message(msg) = ev {
-                    frames.push(TranscriptFrame {
-                        direction: Direction::Received,
-                        text: matches!(msg, Message::Text(_)),
-                        payload: msg.as_bytes().to_vec(),
-                    });
-                }
-            }
-        }
-    }
-
-    // ---- Close handshake. ----
-    client.close(CloseCode::Normal, "done");
-    pump(&mut client, &mut server).map_err(SessionError::Protocol)?;
-
-    Ok(WsSession {
-        handshake_request: request,
-        handshake_response: response,
-        status: 101,
-        frames,
-    })
-}
-
-/// How far a faulted session got before (or whether) it failed.
-///
-/// Unlike [`run_session`], which is all-or-nothing, a faulted session
-/// returns everything observed up to the failure point: the browser turns
-/// this into CDP events ending in a `webSocketFrameError`, mirroring how a
-/// real crawl records partially completed sockets.
+/// A session returns everything observed up to the failure point: the
+/// browser turns this into CDP events, ending in a `webSocketFrameError`
+/// when `error` is set, mirroring how a real crawl records partially
+/// completed sockets. A session that ran to its close handshake has
+/// `error == None` and `clean_close`.
 #[derive(Debug, Clone)]
 pub struct SessionOutcome {
     /// Raw handshake request bytes (empty if the connect was refused).
@@ -206,10 +115,14 @@ fn drain_received(
     Ok(())
 }
 
-/// Runs a scripted session with one injected fault, returning whatever the
-/// client observed before the failure. `decision` must be a real fault —
-/// callers route [`FaultDecision::None`] through [`run_session`] so the
-/// zero-fault byte stream is untouched.
+/// Runs a complete scripted session against an in-memory server, with at
+/// most one injected fault, returning whatever the client observed before
+/// any failure.
+///
+/// `seed` drives the client nonce and mask keys, keeping the whole byte
+/// stream reproducible. [`FaultDecision::None`] runs the session
+/// untouched; `stall_ticks` and `stall_timeout` are read only for
+/// [`FaultDecision::StalledRead`].
 ///
 /// Fault semantics, all on the client's receive path (the send path is the
 /// browser's own and never faulted):
@@ -226,7 +139,7 @@ fn drain_received(
 /// * `StalledRead` — the final server burst arrives `stall_ticks` late on
 ///   the virtual clock; at or past `stall_timeout` the read is abandoned.
 #[allow(clippy::too_many_arguments)]
-pub fn run_session_with_faults(
+pub fn run_session(
     url: &Url,
     page_origin: &str,
     user_agent: &str,
@@ -251,8 +164,7 @@ pub fn run_session_with_faults(
     if let Some(c) = cookie {
         hs = hs.cookies(c);
     }
-    let request = hs.request_bytes();
-    out.handshake_request = request.clone();
+    out.handshake_request = hs.request_bytes();
 
     if let FaultDecision::HandshakeReject { status } = decision {
         let reason = match status {
@@ -273,7 +185,7 @@ pub fn run_session_with_faults(
         return out;
     }
 
-    let server_hs = match ServerHandshake::accept_request(&request) {
+    let server_hs = match ServerHandshake::accept_request(&out.handshake_request) {
         Ok(s) => s,
         Err(e) => {
             out.error = Some(SessionError::Handshake(e));
@@ -437,6 +349,33 @@ mod tests {
         ValueContext::deterministic(1234)
     }
 
+    /// Runs a session with [`FaultDecision::None`] and checks it completed:
+    /// no error, a clean close, and no virtual time spent.
+    fn clean(
+        url: &Url,
+        user_agent: &str,
+        cookie: Option<&str>,
+        exchanges: &[WsExchange],
+        seed: u64,
+    ) -> SessionOutcome {
+        let out = run_session(
+            url,
+            "http://pub.example",
+            user_agent,
+            cookie,
+            exchanges,
+            &ctx(),
+            seed,
+            FaultDecision::None,
+            0,
+            0,
+        );
+        assert_eq!(out.error, None);
+        assert!(out.clean_close);
+        assert_eq!(out.ticks, 0);
+        out
+    }
+
     #[test]
     fn scripted_session_produces_ordered_transcript() {
         let url = Url::parse("ws://adnet.example/data.ws").unwrap();
@@ -447,16 +386,7 @@ mod tests {
             },
             WsExchange::send_only(vec![SentItem::ScrollPosition]),
         ];
-        let s = run_session(
-            &url,
-            "http://pub.example",
-            "TestUA/1.0",
-            Some("uid=42"),
-            &exchanges,
-            &ctx(),
-            7,
-        )
-        .unwrap();
+        let s = clean(&url, "TestUA/1.0", Some("uid=42"), &exchanges, 7);
         assert_eq!(s.status, 101);
         assert_eq!(s.frames.len(), 3);
         assert_eq!(s.frames[0].direction, Direction::Sent);
@@ -479,7 +409,7 @@ mod tests {
             send: vec![SentItem::Binary],
             receive: vec![ReceivedItem::Binary],
         }];
-        let s = run_session(&url, "http://p.example", "UA", None, &exchanges, &ctx(), 9).unwrap();
+        let s = clean(&url, "UA", None, &exchanges, 9);
         assert_eq!(s.frames.len(), 2);
         assert!(!s.frames[0].text);
         assert!(!s.frames[1].text);
@@ -489,16 +419,7 @@ mod tests {
     #[test]
     fn empty_exchanges_yield_no_frames() {
         let url = Url::parse("ws://quiet.example/s").unwrap();
-        let s = run_session(
-            &url,
-            "http://p.example",
-            "UA",
-            None,
-            &[WsExchange::default()],
-            &ctx(),
-            3,
-        )
-        .unwrap();
+        let s = clean(&url, "UA", None, &[WsExchange::default()], 3);
         assert!(s.frames.is_empty());
         assert_eq!(s.status, 101);
     }
@@ -509,7 +430,7 @@ mod tests {
             send: vec![SentItem::Cookie],
             receive: vec![ReceivedItem::Json],
         }];
-        run_session_with_faults(
+        run_session(
             &url,
             "http://pub.example",
             "UA",
@@ -597,7 +518,7 @@ mod tests {
             send: vec![SentItem::Cookie],
             receive: vec![ReceivedItem::Json],
         }];
-        let out = run_session_with_faults(
+        let out = run_session(
             &url,
             "http://pub.example",
             "UA",
@@ -625,7 +546,7 @@ mod tests {
             send: vec![SentItem::Cookie],
             receive: vec![ReceivedItem::Json],
         }];
-        let out = run_session_with_faults(
+        let out = run_session(
             &url,
             "http://pub.example",
             "UA",
@@ -663,8 +584,8 @@ mod tests {
     fn sessions_are_deterministic() {
         let url = Url::parse("ws://a.example/s").unwrap();
         let ex = vec![WsExchange::send_only(vec![SentItem::UserId])];
-        let a = run_session(&url, "http://p.example", "UA", None, &ex, &ctx(), 5).unwrap();
-        let b = run_session(&url, "http://p.example", "UA", None, &ex, &ctx(), 5).unwrap();
+        let a = clean(&url, "UA", None, &ex, 5);
+        let b = clean(&url, "UA", None, &ex, 5);
         assert_eq!(a.handshake_request, b.handshake_request);
         assert_eq!(a.frames, b.frames);
     }

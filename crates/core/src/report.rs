@@ -57,21 +57,6 @@ impl StudyReport {
         }
     }
 
-    /// Runs the timeline longitudinally
-    /// ([`sockscope_analysis::run_longitudinal`]) and attaches the
-    /// era-drift reports to the rendered output. Returns the report plus
-    /// the delta-compressed snapshot lineage for the caller to persist.
-    pub fn run_longitudinal(
-        config: &StudyConfig,
-    ) -> (StudyReport, sockscope_analysis::SnapshotLineage) {
-        let run = sockscope_analysis::run_longitudinal(config);
-        let report = StudyReport {
-            era_drift: Some(run.deltas),
-            ..StudyReport::from_study(run.study)
-        };
-        (report, run.lineage)
-    }
-
     /// Computes the report from an existing study.
     pub fn from_study(study: Study) -> StudyReport {
         let table1 = Table1::compute(&study);

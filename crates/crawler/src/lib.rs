@@ -56,10 +56,10 @@ pub struct CrawlConfig {
     pub seed: u64,
     /// Maximum links to visit beyond the homepage (the paper's 15).
     pub max_links: usize,
-    /// Fault profile override. `None` defers to the universe's
-    /// [`WebGenConfig::faults`](sockscope_webgen::WebGenConfig); a profile
-    /// whose rates are all zero is treated as no injection at all, so the
-    /// crawl output is byte-identical to the fault-free pipeline.
+    /// The crawl's fault profile, the only source of one. `None` is a
+    /// perfectly reliable network; a profile whose rates are all zero is
+    /// treated as no injection at all, so the crawl output is
+    /// byte-identical to the fault-free pipeline.
     pub faults: Option<FaultProfile>,
 }
 
@@ -73,30 +73,20 @@ impl Default for CrawlConfig {
     }
 }
 
-/// Resolves the fault profile a crawl actually runs under: the crawler's
-/// override wins, then the universe's advertised profile; all-zero
+/// Resolves the *transport* side of the crawl's fault profile: all-zero
 /// profiles collapse to `None` so they cannot perturb accounting.
-pub fn effective_faults(web: &SyntheticWeb, config: &CrawlConfig) -> Option<FaultProfile> {
-    config
-        .faults
-        .clone()
-        .or_else(|| web.config().faults.clone())
-        .filter(|p| !p.is_zero())
+pub fn effective_faults(config: &CrawlConfig) -> Option<FaultProfile> {
+    config.faults.clone().filter(|p| !p.is_zero())
 }
 
-/// Resolves the *site-hazard* side of the active profile, with the same
-/// override order as [`effective_faults`] but filtered on
-/// [`FaultProfile::has_hazards`]. The two resolutions are deliberately
+/// Resolves the *site-hazard* side of the crawl's fault profile, filtered
+/// on [`FaultProfile::has_hazards`]. The two resolutions are deliberately
 /// independent: a hazard-only profile (e.g. `poison`) activates the
 /// supervisor without touching the transport pipeline, so every site the
 /// supervisor does *not* quarantine crawls byte-identically to a
 /// fault-free run.
-pub fn effective_hazards(web: &SyntheticWeb, config: &CrawlConfig) -> Option<FaultProfile> {
-    config
-        .faults
-        .clone()
-        .or_else(|| web.config().faults.clone())
-        .filter(|p| p.has_hazards())
+pub fn effective_hazards(config: &CrawlConfig) -> Option<FaultProfile> {
+    config.faults.clone().filter(|p| p.has_hazards())
 }
 
 /// Everything observed while crawling one site.
@@ -347,7 +337,7 @@ fn drive_universe_site(
 ) -> Option<SiteFaults> {
     let site = &web.sites()[i];
     let era = &web.config().era;
-    let effective = effective_faults(web, config);
+    let effective = effective_faults(config);
     let site_faults = drive_site(
         &site.homepage(),
         &site.domain,
@@ -687,26 +677,6 @@ mod tests {
         }
         assert!(retried > 0, "heavy profile should force retries");
         assert!(shortfall > 0, "heavy profile should cut some site short");
-    }
-
-    #[test]
-    fn universe_profile_applies_when_config_has_none() {
-        let web = SyntheticWeb::new(WebGenConfig {
-            n_sites: 10,
-            faults: Some(FaultProfile::heavy()),
-            ..WebGenConfig::default()
-        });
-        let ds = crawl(&web, &CrawlConfig::default());
-        assert!(ds.records.iter().all(|r| r.faults.is_some()));
-        // An explicit zero-rate override silences the universe profile.
-        let quiet = crawl(
-            &web,
-            &CrawlConfig {
-                faults: Some(FaultProfile::none()),
-                ..CrawlConfig::default()
-            },
-        );
-        assert!(quiet.records.iter().all(|r| r.faults.is_none()));
     }
 
     #[test]

@@ -21,10 +21,10 @@
 //! [`AssertUnwindSafe`]. The assertion is justified by audit, not hand
 //! waving — see DESIGN.md §11 for the full argument:
 //!
-//! * the web, config, and browser are shared immutably and contain no
-//!   interior mutability on the visit path except the classifier's lazy
-//!   DFA cache, which is lock-poisoning-tolerant by construction
-//!   (`try_lock` with a decision-identical reference fallback);
+//! * the web, config, and browser are shared immutably; the classifier
+//!   and its lazy DFA cache (a `RefCell`, no lock) live in the worker's
+//!   own sink, and every injected unwind starts at a page boundary in the
+//!   guard, never inside a DFA scan;
 //! * the sink *is* left in a torn state by an unwind — and that is exactly
 //!   what [`SiteSink::site_abort`] exists for: the supervisor calls it on
 //!   every catch before retrying or quarantining, restoring the pristine
@@ -238,14 +238,10 @@ pub fn supervise_site<C: SiteSink>(
 ) -> Option<QuarantineRecord> {
     install_panic_silencer();
     let site = &web.sites()[i];
-    // Limits come from whichever profile is active (even a transport-only
-    // one); with no profile at all the defaults of `none()` apply.
-    let limits = config
-        .faults
-        .clone()
-        .or_else(|| web.config().faults.clone())
-        .unwrap_or_else(FaultProfile::none);
-    let hazard = effective_hazards(web, config).and_then(|p| {
+    // Limits come from the crawl's profile (even a transport-only one);
+    // with no profile at all the defaults of `none()` apply.
+    let limits = config.faults.clone().unwrap_or_else(FaultProfile::none);
+    let hazard = effective_hazards(config).and_then(|p| {
         let hazard_seed = mix(config.seed, web.config().era.index());
         HazardPlan::new(hazard_seed, u64::from(site.rank)).decide(&p)
     });
@@ -280,12 +276,18 @@ mod tests {
     use sockscope_browser::{BrowserConfig, ExtensionHost};
     use sockscope_webgen::WebGenConfig;
 
-    fn web(n: usize, faults: Option<FaultProfile>) -> SyntheticWeb {
+    fn web(n: usize) -> SyntheticWeb {
         SyntheticWeb::new(WebGenConfig {
             n_sites: n,
-            faults,
             ..WebGenConfig::default()
         })
+    }
+
+    fn config(faults: Option<FaultProfile>) -> CrawlConfig {
+        CrawlConfig {
+            faults,
+            ..CrawlConfig::default()
+        }
     }
 
     fn browser<'w>(web: &'w SyntheticWeb, config: &CrawlConfig) -> Browser<'w> {
@@ -301,8 +303,8 @@ mod tests {
 
     #[test]
     fn clean_sites_supervise_to_the_unsupervised_record() {
-        let web = web(20, None);
-        let config = CrawlConfig::default();
+        let web = web(20);
+        let config = config(None);
         let browser = browser(&web, &config);
         for i in 0..web.sites().len() {
             let mut supervised = RecordSink::default();
@@ -322,8 +324,8 @@ mod tests {
 
     #[test]
     fn poisoned_sites_quarantine_and_leave_the_sink_empty() {
-        let web = web(60, Some(FaultProfile::poison()));
-        let config = CrawlConfig::default();
+        let web = web(60);
+        let config = config(Some(FaultProfile::poison()));
         let browser = browser(&web, &config);
         let mut quarantined = Vec::new();
         let mut sink = RecordSink::default();
@@ -367,8 +369,8 @@ mod tests {
 
     #[test]
     fn every_reason_is_reachable_and_deterministic() {
-        let web = web(120, Some(FaultProfile::poison()));
-        let config = CrawlConfig::default();
+        let web = web(120);
+        let config = config(Some(FaultProfile::poison()));
         let browser = browser(&web, &config);
         let run = || {
             let mut sink = RecordSink::default();
@@ -427,8 +429,8 @@ mod tests {
             }
         }
 
-        let web = web(3, None);
-        let config = CrawlConfig::default();
+        let web = web(3);
+        let config = config(None);
         let browser = browser(&web, &config);
         let mut sink = Bomb {
             inner: RecordSink::default(),
@@ -446,8 +448,8 @@ mod tests {
 
     #[test]
     fn hazard_free_profiles_never_quarantine() {
-        let web = web(25, Some(FaultProfile::heavy()));
-        let config = CrawlConfig::default();
+        let web = web(25);
+        let config = config(Some(FaultProfile::heavy()));
         let browser = browser(&web, &config);
         let mut sink = RecordSink::default();
         for i in 0..web.sites().len() {

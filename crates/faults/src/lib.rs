@@ -83,8 +83,10 @@ impl VirtualClock {
 /// Rates are out of 1000 and are consumed cumulatively in declaration
 /// order, so their sum should stay ≤ 1000 (anything beyond is clamped by
 /// the draw). All-zero rates make every [`FaultPlan`] decision
-/// [`FaultDecision::None`]; callers normalize such profiles away so the
-/// zero-fault pipeline stays byte-identical to a run with no profile.
+/// [`FaultDecision::None`], which the browser's one session runner treats
+/// exactly like a socket with no plan at all. The crawler still collapses
+/// such profiles to no profile, so they add no failure accounting and the
+/// snapshot stays byte-identical to a run without one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultProfile {
     /// ‰ of connection attempts refused before any handshake bytes flow.

@@ -190,7 +190,9 @@ fn decode_chunked(mut bytes: &[u8], max_body: usize) -> Result<Option<Vec<u8>>, 
             std::str::from_utf8(&bytes[..line_end]).map_err(|_| HttpError::BadEncoding)?;
         let size_hex = size_line.split(';').next().unwrap_or("").trim();
         let size = usize::from_str_radix(size_hex, 16).map_err(|_| HttpError::BadChunkSize)?;
-        if out.len() + size > max_body {
+        // `out` never exceeds the cap, so the subtraction cannot wrap; a
+        // hostile size near `usize::MAX` is rejected before any addition.
+        if size > max_body - out.len() {
             return Err(HttpError::TooLarge);
         }
         let data_start = line_end + 2;
@@ -202,14 +204,19 @@ fn decode_chunked(mut bytes: &[u8], max_body: usize) -> Result<Option<Vec<u8>>, 
                 Ok(None)
             };
         }
-        if bytes.len() < data_start + size + 2 {
+        let chunk_end = data_start
+            .checked_add(size)
+            .and_then(|end| end.checked_add(2))
+            .ok_or(HttpError::BadChunkSize)?;
+        let data_end = chunk_end - 2;
+        if bytes.len() < chunk_end {
             return Ok(None);
         }
-        out.extend_from_slice(&bytes[data_start..data_start + size]);
-        if &bytes[data_start + size..data_start + size + 2] != b"\r\n" {
+        out.extend_from_slice(&bytes[data_start..data_end]);
+        if &bytes[data_end..chunk_end] != b"\r\n" {
             return Err(HttpError::BadChunkSize);
         }
-        bytes = &bytes[data_start + size + 2..];
+        bytes = &bytes[chunk_end..];
     }
 }
 
@@ -293,6 +300,19 @@ mod tests {
         parser.max_body = 10;
         parser.feed(b"HTTP/1.1 200 OK\r\nContent-Length: 11\r\n\r\nhello world");
         assert_eq!(parser.finish(), Err(HttpError::TooLarge));
+    }
+
+    #[test]
+    fn hostile_chunk_size_is_an_error_not_a_panic() {
+        // A chunk size of `usize::MAX` after one byte of body used to
+        // overflow the cap check and then slice out of bounds.
+        let wire = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n1\r\na\r\nffffffffffffffff\r\nxyz\r\n0\r\n\r\n";
+        assert_eq!(Response::parse(wire), Err(HttpError::TooLarge));
+        // Under an unbounded cap the chunk's end offset itself overflows.
+        let mut parser = ResponseParser::new();
+        parser.max_body = usize::MAX;
+        parser.feed(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nfffffffffffffffe\r\nxyz\r\n0\r\n\r\n");
+        assert_eq!(parser.finish(), Err(HttpError::BadChunkSize));
     }
 
     #[test]

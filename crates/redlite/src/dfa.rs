@@ -44,7 +44,9 @@ pub struct DfaStats {
     pub trans_cached: u64,
     /// Completed DFA scans.
     pub scans: u64,
-    /// Scans refused (cache poisoned) and answered by the Pike VM.
+    /// Scans that overflowed the state cache (or found it already
+    /// poisoned) and were answered by the Pike VM — the only way a scan
+    /// leaves the DFA.
     pub fallbacks: u64,
 }
 

@@ -54,7 +54,7 @@ pub use dfa::DfaStats;
 pub use literal::{find_lit, find_lit_scalar};
 pub use set::{RegexSet, SetMatches};
 
-use std::sync::Mutex;
+use std::cell::RefCell;
 
 /// A compiled regular expression.
 pub struct Regex {
@@ -62,9 +62,10 @@ pub struct Regex {
     pattern: String,
     ci: bool,
     prefilter: literal::Prefilter,
-    /// Lazy-DFA cache. `try_lock` on the hot path: under contention the
-    /// caller simply runs the Pike VM, so the lock never blocks matching.
-    dfa: Mutex<dfa::LazyDfa>,
+    /// Lazy-DFA cache, filled in place by `is_match`. A `RefCell`, not a
+    /// lock: every classifier is owned by one worker, so a `Regex` is
+    /// `Send` but not `Sync`.
+    dfa: RefCell<dfa::LazyDfa>,
 }
 
 impl std::fmt::Debug for Regex {
@@ -84,7 +85,7 @@ impl Clone for Regex {
             ci: self.ci,
             prefilter: self.prefilter.clone(),
             // A fresh, empty DFA cache: states re-fill lazily.
-            dfa: Mutex::new(dfa::LazyDfa::new(&self.program)),
+            dfa: RefCell::new(dfa::LazyDfa::new(&self.program)),
         }
     }
 }
@@ -113,7 +114,7 @@ impl Regex {
         let ast = ast::parse(pattern, ci)?;
         let program = nfa::compile(&ast);
         let prefilter = literal::Prefilter::from_ast(&ast, ci);
-        let dfa = Mutex::new(dfa::LazyDfa::new(&program));
+        let dfa = RefCell::new(dfa::LazyDfa::new(&program));
         Ok(Regex {
             program,
             pattern: pattern.to_string(),
@@ -134,9 +135,7 @@ impl Regex {
     /// [`Regex::pikevm_is_match`] on every input.
     pub fn is_match(&self, haystack: &str) -> bool {
         if !self.prefilter.admits(haystack, 0) {
-            if let Ok(mut d) = self.dfa.try_lock() {
-                d.note_prefilter_reject();
-            }
+            self.dfa.borrow_mut().note_prefilter_reject();
             return false;
         }
         let start = match self.prefilter.earliest_start(haystack, 0) {
@@ -147,13 +146,12 @@ impl Regex {
             // Anchored pattern whose guaranteed prefix is absent at 0.
             return false;
         }
-        if let Ok(mut d) = self.dfa.try_lock() {
-            let prefix = dfa::prefix_of(&self.prefilter);
-            if let Some(hit) = d.is_match(&self.program, haystack, start, prefix) {
-                return hit;
-            }
-        }
-        vm::is_match(&self.program, haystack)
+        let prefix = dfa::prefix_of(&self.prefilter);
+        let hit = self
+            .dfa
+            .borrow_mut()
+            .is_match(&self.program, haystack, start, prefix);
+        hit.unwrap_or_else(|| vm::is_match(&self.program, haystack))
     }
 
     /// Leftmost match in `haystack`.
@@ -191,7 +189,7 @@ impl Regex {
 
     /// Snapshot of this regex's lazy-DFA cache counters.
     pub fn cache_stats(&self) -> DfaStats {
-        self.dfa.lock().map(|d| d.stats()).unwrap_or_default()
+        self.dfa.borrow().stats()
     }
 
     /// Iterates non-overlapping matches left to right.
@@ -367,11 +365,13 @@ mod tests {
     }
 
     #[test]
-    fn regex_types_stay_send_and_sync() {
-        // The analysis stage shares one PiiLibrary across scoped threads.
-        fn assert_sync<T: Send + Sync>() {}
-        assert_sync::<Regex>();
-        assert_sync::<RegexSet>();
+    fn regex_types_stay_send() {
+        // Each crawl worker builds its own PiiLibrary and moves it onto its
+        // thread; nothing shares one, so the DFA cache needs no lock and
+        // the types are `Send` only.
+        fn assert_send<T: Send>() {}
+        assert_send::<Regex>();
+        assert_send::<RegexSet>();
     }
 
     #[test]

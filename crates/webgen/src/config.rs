@@ -1,7 +1,6 @@
 //! Generator configuration.
 
 use crate::timeline::Era;
-use sockscope_faults::FaultProfile;
 
 /// Which of the four crawls is being simulated (§3.3 / Table 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -80,10 +79,6 @@ pub struct WebGenConfig {
     /// Pages per site the generator exposes (the crawler visits the
     /// homepage plus up to 15 links, §3.3).
     pub pages_per_site: usize,
-    /// Fault profile the universe advertises to crawlers. `None` (and any
-    /// profile with all rates zero) means a perfectly reliable network —
-    /// the pre-fault-injection behaviour. Crawlers may override this.
-    pub faults: Option<FaultProfile>,
 }
 
 impl Default for WebGenConfig {
@@ -93,7 +88,6 @@ impl Default for WebGenConfig {
             n_sites: 10_000,
             era: CrawlEra::AprilEarly.into(),
             pages_per_site: 15,
-            faults: None,
         }
     }
 }
@@ -125,13 +119,13 @@ mod tests {
     #[test]
     fn for_era_keeps_universe() {
         let base = WebGenConfig {
-            faults: Some(FaultProfile::mild()),
+            pages_per_site: 4,
             ..WebGenConfig::default()
         };
         let oct = base.for_era(CrawlEra::October);
         assert_eq!(base.seed, oct.seed);
         assert_eq!(base.n_sites, oct.n_sites);
         assert_eq!(oct.era, CrawlEra::October.into());
-        assert_eq!(oct.faults, Some(FaultProfile::mild()));
+        assert_eq!(oct.pages_per_site, 4);
     }
 }
